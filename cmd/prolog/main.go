@@ -16,10 +16,8 @@
 // as soon as enough solutions are printed.
 //
 // -dispatch selects the execution core (legacy interpreter, plain
-// predecoded stream, fused superinstruction stream, or the
-// closure-threaded core); all four produce identical answers, steps, and
-// faults. The old -nofuse boolean remains as a deprecated alias for
-// -dispatch nofuse and may not contradict an explicit -dispatch.
+// predecoded stream, or fused superinstruction stream); all three produce
+// identical answers, steps, and faults.
 package main
 
 import (
@@ -44,39 +42,20 @@ import (
 var (
 	maxSteps = flag.Int64("maxsteps", 0, "abort a query after this many ICI steps (0 = default limit)")
 	timeout  = flag.Duration("timeout", 0, "abort a query after this wall-clock duration (0 = none)")
-	dispatch = flag.String("dispatch", "", "execution core: legacy, nofuse, fused or threaded (default fused)")
-	noFuse   = flag.Bool("nofuse", false, "deprecated alias for -dispatch nofuse")
+	dispatch = flag.String("dispatch", "", "execution core: legacy, nofuse or fused (default fused)")
 	stats    = flag.Bool("stats", false, "print per-query execution stats (op-class mix, memory high-water marks)")
 	events   = flag.Int("events", 0, "trace the query's last N executor milestone events to stderr")
 	nsol     = flag.Int("solutions", 0, "stream up to N solutions via suspend/resume (negative = all, 0 = off)")
 
-	// Resolved from -dispatch/-nofuse once at startup.
-	runLegacy, runNoFuse, runThreaded bool
+	// Resolved from -dispatch once at startup.
+	runLegacy, runNoFuse bool
 )
 
-// resolveDispatch maps the -dispatch enum and the deprecated -nofuse alias
-// to the emulator's mode booleans, rejecting contradictory spellings the
-// same way symbol.RunOptions.Validate does.
+// resolveDispatch maps the -dispatch enum to the emulator's mode booleans.
 func resolveDispatch() error {
 	d, err := symbol.ParseDispatch(*dispatch)
-	if err != nil {
-		return err
-	}
-	if *noFuse {
-		if d != symbol.DispatchAuto && d != symbol.DispatchNoFuse {
-			return fmt.Errorf("conflicting flags: -nofuse with -dispatch %s (drop the deprecated -nofuse)", d)
-		}
-		d = symbol.DispatchNoFuse
-	}
-	switch d {
-	case symbol.DispatchLegacy:
-		runLegacy = true
-	case symbol.DispatchNoFuse:
-		runNoFuse = true
-	case symbol.DispatchThreaded:
-		runThreaded = true
-	}
-	return nil
+	runLegacy, runNoFuse = d == symbol.DispatchLegacy, d == symbol.DispatchNoFuse
+	return err
 }
 
 func main() {
@@ -215,7 +194,6 @@ func ask(program []term.Term, query string, all bool) error {
 		Deadline: deadline,
 		Legacy:   runLegacy,
 		NoFuse:   runNoFuse,
-		Threaded: runThreaded,
 		Events:   trace,
 	}
 	if stream {

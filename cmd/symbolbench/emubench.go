@@ -22,26 +22,22 @@ import (
 // core is supposed to improve without changing. Each run executes one
 // benchmark to completion under an execution mode:
 //
-//	legacy   — the original reference interpreter (the pre-fusion baseline)
-//	nofuse   — the predecoded stream with superinstruction fusion disabled
-//	fused    — the predecoded stream with fusion (the default hot path)
-//	threaded — the closure-threaded core with operand pre-resolution
+//	legacy — the original reference interpreter (the pre-fusion baseline)
+//	nofuse — the predecoded stream with superinstruction fusion disabled
+//	fused  — the predecoded stream with fusion (the default hot path)
 //
 // Output is benchstat-compatible (one Benchmark line per run, value pairs
 // "ns/op" and "steps/s"), and -benchjson captures the same numbers as JSON
 // so baselines can be committed and diffed. -smoke exits nonzero if fused
 // throughput falls below the unfused stream on the same invocation (fusion
 // removes dispatches and can only win, so losing to nofuse means the fused
-// loop regressed), or if threaded throughput falls below the configured
-// floor multiple of fused (threaded removes the remaining central-switch
-// overhead, so it must clear fused by a margin).
+// loop regressed).
 
 // emuModeOpts maps a mode name to the emulator options selecting it.
 var emuModeOpts = map[string]emu.Options{
-	"legacy":   {Legacy: true},
-	"nofuse":   {NoFuse: true},
-	"fused":    {},
-	"threaded": {Threaded: true},
+	"legacy": {Legacy: true},
+	"nofuse": {NoFuse: true},
+	"fused":  {},
 }
 
 // emuBenchRun is one timed execution.
@@ -56,30 +52,26 @@ type emuBenchRun struct {
 // every record carries all of them (a record must be self-describing once
 // it lands in a committed baseline file).
 type emuBenchResult struct {
-	Bench    string `json:"bench"`
-	Mode     string `json:"mode"`
-	PlainOps int    `json:"static_icis"`
-	FusedOps int    `json:"static_fused_ops"`
-	// ThreadedOps counts the closures of the threaded core — one per fused
-	// op, since the threaded stream is built over the fused one.
-	ThreadedOps int           `json:"static_threaded_ops"`
-	Runs        []emuBenchRun `json:"runs"`
-	BestSPS     float64       `json:"best_steps_per_sec"`
-	MeanSPS     float64       `json:"mean_steps_per_sec"`
-	GoVersion   string        `json:"go,omitempty"`
+	Bench     string        `json:"bench"`
+	Mode      string        `json:"mode"`
+	PlainOps  int           `json:"static_icis"`
+	FusedOps  int           `json:"static_fused_ops"`
+	Runs      []emuBenchRun `json:"runs"`
+	BestSPS   float64       `json:"best_steps_per_sec"`
+	MeanSPS   float64       `json:"mean_steps_per_sec"`
+	GoVersion string        `json:"go,omitempty"`
 }
 
 // benchEmuSteps runs the steps-throughput benchmark. modes is a comma list
 // or "all"; results are printed benchstat-style and optionally written as
-// JSON. With smoke set, the nofuse, fused and threaded modes are always
-// measured and the run fails if fused throughput is below nofuse or
-// threaded is below threadedFloor times fused. statsPath, when
+// JSON. With smoke set, the nofuse and fused modes are always measured and
+// the run fails if fused throughput is below nofuse. statsPath, when
 // non-empty, dumps one execution's full symbol.Stats per mode as JSON.
 // comparePath, when non-empty, names a committed baseline JSON (an earlier
 // -benchjson file) and the run fails if any measured mode's best steps/s
 // falls more than tolerance percent below the baseline's — the CI guard
 // that keeps the always-on stats counters within their overhead budget.
-func benchEmuSteps(name, modes string, runs int, jsonPath string, smoke bool, threadedFloor float64, statsPath, comparePath string, tolerance float64) error {
+func benchEmuSteps(name, modes string, runs int, jsonPath string, smoke bool, statsPath, comparePath string, tolerance float64) error {
 	b, err := benchprog.Get(name)
 	if err != nil {
 		return err
@@ -92,9 +84,9 @@ func benchEmuSteps(name, modes string, runs int, jsonPath string, smoke bool, th
 
 	want := []string{}
 	if smoke {
-		want = []string{"nofuse", "fused", "threaded"}
+		want = []string{"nofuse", "fused"}
 	} else if modes == "all" {
-		want = []string{"legacy", "nofuse", "fused", "threaded"}
+		want = []string{"legacy", "nofuse", "fused"}
 	} else {
 		for _, m := range strings.Split(modes, ",") {
 			want = append(want, strings.TrimSpace(m))
@@ -106,12 +98,11 @@ func benchEmuSteps(name, modes string, runs int, jsonPath string, smoke bool, th
 	for _, mode := range want {
 		base, ok := emuModeOpts[mode]
 		if !ok {
-			return fmt.Errorf("unknown emulation mode %q (legacy, nofuse, fused, threaded)", mode)
+			return fmt.Errorf("unknown emulation mode %q (legacy, nofuse, fused)", mode)
 		}
 		r := emuBenchResult{
 			Bench: name, Mode: mode,
 			PlainOps: xp.Stats.PlainOps, FusedOps: xp.Stats.FusedOps,
-			ThreadedOps: xp.Stats.FusedOps,
 		}
 		// One machine state is recycled across every execution (exactly what
 		// the pooled engine does), so the timings measure interpretation, not
@@ -197,12 +188,6 @@ func benchEmuSteps(name, modes string, runs int, jsonPath string, smoke bool, th
 		}
 		fmt.Printf("# smoke ok: fused %.2f Msteps/s >= nofuse %.2f Msteps/s\n",
 			best["fused"]/1e6, best["nofuse"]/1e6)
-		if floor := best["fused"] * threadedFloor; best["threaded"] < floor {
-			return fmt.Errorf("smoke: threaded %.2f Msteps/s < %.2fx fused (%.2f Msteps/s) — threaded dispatch regressed",
-				best["threaded"]/1e6, threadedFloor, floor/1e6)
-		}
-		fmt.Printf("# smoke ok: threaded %.2f Msteps/s >= %.2fx fused %.2f Msteps/s\n",
-			best["threaded"]/1e6, threadedFloor, best["fused"]/1e6)
 	}
 	return nil
 }

@@ -9,11 +9,11 @@
 //	symbolbench -exp fig2,fig3  # a comma-separated subset
 //	symbolbench -parallel 4     # pooled-engine throughput vs baseline
 //	symbolbench -parallel 4 -bench queens_8 -runs 64
-//	symbolbench -emubench       # emulator steps/sec: legacy vs nofuse vs fused vs threaded
+//	symbolbench -emubench       # emulator steps/sec: legacy vs nofuse vs fused
 //	symbolbench -emubench -dispatch legacy -benchjson BENCH_baseline.json
 //	symbolbench -emubench -statsjson stats.json   # per-mode execution stats
 //	symbolbench -emubench -dispatch fused -compare BENCH_fused.json -tolerance 5
-//	symbolbench -smoke          # fail if fused lost to nofuse or threaded missed its floor over fused
+//	symbolbench -smoke          # fail if fused lost to nofuse
 //	symbolbench -emubench -cpuprofile cpu.out -memprofile mem.out
 //
 // Experiments: fig2, fig3, table1, table2 (includes fig4), table3
@@ -49,32 +49,21 @@ func main() {
 	benchName := flag.String("bench", "queens_8", "benchmark program for -parallel and -emubench modes")
 	runs := flag.Int("runs", 32, "queries per path in -parallel mode")
 	emubench := flag.Bool("emubench", false, "emulator-throughput mode: measure ICI steps/sec on -bench under -dispatch")
-	dispatch := flag.String("dispatch", "", "execution modes for -emubench (comma separated): legacy, nofuse, fused, threaded, all")
-	emumode := flag.String("emumode", "", "deprecated alias for -dispatch")
+	dispatch := flag.String("dispatch", "", "execution modes for -emubench (comma separated): legacy, nofuse, fused, all")
 	emuruns := flag.Int("emuruns", 5, "timed runs per mode in -emubench mode")
 	benchJSON := flag.String("benchjson", "", "write -emubench results as JSON to this file")
 	statsJSON := flag.String("statsjson", "", "with -emubench: write one execution's full Stats per mode as JSON to this file")
 	compare := flag.String("compare", "", "with -emubench: committed -benchjson baseline; fail if best steps/s drops below it by more than -tolerance")
 	tolerance := flag.Float64("tolerance", 5, "allowed throughput drop vs -compare baseline, in percent")
-	smoke := flag.Bool("smoke", false, "with -emubench: measure nofuse, fused and threaded; fail if fusion lost throughput or threaded missed -threadedfloor")
+	smoke := flag.Bool("smoke", false, "with -emubench: measure nofuse and fused; fail if fusion lost throughput")
 	snapbench := flag.Bool("snapbench", false, "snapshot mode: measure snapshot sizes and cold-start load vs compile across the corpus")
 	snapReps := flag.Int("snapreps", 9, "timed repetitions per path in -snapbench mode")
 	speedupFloor := flag.Float64("speedupfloor", 0, "with -snapbench: minimum median cold-start speedup (0 disables the gate)")
-	threadedFloor := flag.Float64("threadedfloor", 1.15, "with -smoke: minimum threaded/fused steps/s ratio")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this file")
 	flag.Parse()
 
-	// -emumode is the pre-consolidation spelling of -dispatch; honour it as
-	// an alias but refuse contradictory values.
 	modes := *dispatch
-	if *emumode != "" {
-		if modes != "" && modes != *emumode {
-			fmt.Fprintf(os.Stderr, "symbolbench: conflicting flags: -emumode %s with -dispatch %s (drop the deprecated -emumode)\n", *emumode, modes)
-			os.Exit(1)
-		}
-		modes = *emumode
-	}
 	if modes == "" {
 		modes = "all"
 	}
@@ -89,7 +78,7 @@ func main() {
 
 	if *emubench || *smoke {
 		err := withProfiles(*cpuprofile, *memprofile, func() error {
-			return benchEmuSteps(*benchName, modes, *emuruns, *benchJSON, *smoke, *threadedFloor, *statsJSON, *compare, *tolerance)
+			return benchEmuSteps(*benchName, modes, *emuruns, *benchJSON, *smoke, *statsJSON, *compare, *tolerance)
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "symbolbench:", err)

@@ -118,7 +118,7 @@ func run() error {
 		workers    = flag.Int("c", 8, "concurrent workers")
 		warmup     = flag.Duration("warmup", 0, "warm the target before measuring; warmup requests are excluded from the report")
 		duration   = flag.Duration("d", 5*time.Second, "measured load duration")
-		dispatchF  = flag.String("dispatch", "", "execution core for the -self server: legacy, nofuse, fused, threaded (default auto)")
+		dispatchF  = flag.String("dispatch", "", "execution core for the -self server: legacy, nofuse, fused (default auto)")
 		ab         = flag.Bool("ab", false, "A/B: run the load twice in-process (-self), unbatched then batched, and report the speedup")
 		chaos      = flag.Bool("chaos", false, "mix in slow queries, budget bombs, and client disconnects")
 		jsonOut    = flag.Bool("json", false, "emit the report as JSON")

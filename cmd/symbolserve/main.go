@@ -72,7 +72,7 @@ func run() error {
 		tenantsPath = flag.String("tenants", "", "JSON file of named tenant budget envelopes")
 		cursorTTL   = flag.Duration("cursor-ttl", 0, "idle lifetime of a paginated query's resume cursor (0 = 30s)")
 		negTTL      = flag.Duration("neg-cache-ttl", 0, "how long a failed query compile stays cached (0 = 5s)")
-		dispatch    = flag.String("dispatch", "", "execution core for every query: legacy, nofuse, fused, threaded (default auto)")
+		dispatch    = flag.String("dispatch", "", "execution core for every query: legacy, nofuse, fused (default auto)")
 		batchWindow = flag.Duration("batch-window", 0, "request-coalescing window (0 = 2ms)")
 		maxBatch    = flag.Int("max-batch", 0, "max requests per coalesced batch (0 = max-inflight)")
 		noBatch     = flag.Bool("no-batch", false, "disable request coalescing")

@@ -61,8 +61,3 @@ func (p *Program) RunWith(opts RunOptions) (*Result, error) {
 func (p *Program) Schedule(conf MachineConfig, opts ScheduleOptions) (*Scheduled, error) {
 	return p.ScheduleWith(conf, WithScheduleOptions(opts))
 }
-
-// WithNoFuse disables superinstruction fusion for the run.
-//
-// Deprecated: use WithDispatch(DispatchNoFuse).
-func WithNoFuse() RunOption { return func(o *RunOptions) { o.NoFuse = true } }

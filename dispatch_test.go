@@ -2,66 +2,68 @@ package symbol
 
 import (
 	"context"
-	"errors"
+	"strings"
 	"testing"
 )
 
-// TestParseDispatch pins the flag-facing surface: every mode name round-trips
-// through ParseDispatch/String, "" and "auto" both mean Auto, and an unknown
-// name is a descriptive error.
+// TestParseDispatch covers the whole core-selector surface: every mode name
+// round-trips through ParseDispatch/String, "" means Auto, an unknown name
+// (including the removed "threaded" core) is an error naming the three
+// cores, and the deprecated DispatchThreaded alias runs exactly like
+// DispatchFused.
 func TestParseDispatch(t *testing.T) {
-	for _, want := range []Dispatch{
-		DispatchLegacy, DispatchNoFuse, DispatchFused, DispatchThreaded,
+	for _, tc := range []struct {
+		in      string
+		want    Dispatch
+		wantErr bool
+	}{
+		{"", DispatchAuto, false},
+		{"auto", DispatchAuto, false},
+		{"legacy", DispatchLegacy, false},
+		{"nofuse", DispatchNoFuse, false},
+		{"fused", DispatchFused, false},
+		{"threaded", DispatchAuto, true},
+		{"warp", DispatchAuto, true},
 	} {
-		got, err := ParseDispatch(want.String())
-		if err != nil || got != want {
-			t.Errorf("ParseDispatch(%q) = %v, %v", want.String(), got, err)
+		got, err := ParseDispatch(tc.in)
+		if got != tc.want || (err != nil) != tc.wantErr {
+			t.Errorf("ParseDispatch(%q) = %v, %v; want %v, error %v", tc.in, got, err, tc.want, tc.wantErr)
+			continue
+		}
+		if err != nil {
+			if !strings.Contains(err.Error(), "want legacy, nofuse or fused") {
+				t.Errorf("ParseDispatch(%q) error %q does not name the three cores", tc.in, err)
+			}
+			continue
+		}
+		if tc.in != "" && got.String() != tc.in {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
 		}
 	}
-	for _, s := range []string{"", "auto"} {
-		got, err := ParseDispatch(s)
-		if err != nil || got != DispatchAuto {
-			t.Errorf("ParseDispatch(%q) = %v, %v, want Auto", s, got, err)
-		}
-	}
-	if _, err := ParseDispatch("warp"); err == nil {
-		t.Error("ParseDispatch of unknown mode succeeded")
-	}
-}
 
-// TestDispatchConflict: combining the deprecated NoFuse boolean with a
-// contradicting Dispatch is rejected with the typed conflict error, while
-// the redundant (NoFuse + DispatchNoFuse) and alias (NoFuse alone) spellings
-// stay valid.
-func TestDispatchConflict(t *testing.T) {
-	err := (RunOptions{NoFuse: true, Dispatch: DispatchThreaded}).Validate()
-	var ce *DispatchConflictError
-	if !errors.As(err, &ce) {
-		t.Fatalf("Validate = %v, want DispatchConflictError", err)
+	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2])")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ce.Dispatch != DispatchThreaded {
-		t.Errorf("conflict names %v, want threaded", ce.Dispatch)
+	e := NewEngine(prog)
+	ctx := context.Background()
+	want, err := e.Run(ctx, RunOptions{Dispatch: DispatchFused})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (RunOptions{NoFuse: true, Dispatch: DispatchNoFuse}).Validate(); err != nil {
-		t.Errorf("redundant NoFuse+DispatchNoFuse rejected: %v", err)
+	got, err := e.Run(ctx, RunOptions{Dispatch: DispatchThreaded})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := (RunOptions{NoFuse: true}).Validate(); err != nil {
-		t.Errorf("deprecated NoFuse alias rejected: %v", err)
-	}
-	// The conflict is surfaced through the run entry points too, not just
-	// explicit Validate calls.
-	prog, cerr := CompileQuery(streamKB, "app(X, Y, [1])")
-	if cerr != nil {
-		t.Fatal(cerr)
-	}
-	if _, err := prog.RunWith(RunOptions{NoFuse: true, Dispatch: DispatchFused}); !errors.As(err, &ce) {
-		t.Fatalf("RunWith = %v, want DispatchConflictError", err)
+	ws, gs := want.Stats, got.Stats
+	ws.Wall, gs.Wall = 0, 0
+	if got.Succeeded != want.Succeeded || got.Output != want.Output || got.Steps != want.Steps || gs != ws {
+		t.Errorf("DispatchThreaded run %+v differs from DispatchFused run %+v", got, want)
 	}
 }
 
 // TestWithDispatchRuns: each functional-option mode actually executes and
-// agrees on the answer, and the deprecated WithNoFuse still resolves to the
-// unfused core.
+// agrees on the answer.
 func TestWithDispatchRuns(t *testing.T) {
 	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2])")
 	if err != nil {
@@ -72,7 +74,7 @@ func TestWithDispatchRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range []Dispatch{
-		DispatchAuto, DispatchLegacy, DispatchNoFuse, DispatchFused, DispatchThreaded,
+		DispatchAuto, DispatchLegacy, DispatchNoFuse, DispatchFused,
 	} {
 		res, err := prog.RunContext(context.Background(), WithDispatch(d))
 		if err != nil {
@@ -83,9 +85,5 @@ func TestWithDispatchRuns(t *testing.T) {
 			t.Errorf("%v: output %q steps %d, want %q / %d",
 				d, res.Output, res.Steps, ref.Output, ref.Steps)
 		}
-	}
-	res, err := prog.RunContext(context.Background(), WithNoFuse())
-	if err != nil || res.Output != ref.Output {
-		t.Errorf("WithNoFuse: %v, %+v", err, res)
 	}
 }

@@ -71,7 +71,7 @@ func NewEngineConfig(p *Program, conf MachineConfig, sopts ScheduleOptions) *Eng
 // Footprint estimates the engine's resident bytes: every machine state ever
 // allocated for the pool (the dominant term — one state is the full
 // simulated memory image) plus the compiled code and, once a run has built
-// them, the predecoded and threaded execution streams. It is intentionally
+// them, the predecoded execution streams. It is intentionally
 // an upper bound — sync.Pool may have released states to the GC — because
 // its consumer is budget-based cache eviction, where overestimating evicts
 // early and underestimating blows the budget.
@@ -165,7 +165,7 @@ func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
 	}
-	legacy, noFuse, threaded := opts.emuMode()
+	legacy, noFuse := opts.emuMode()
 	res, err := emu.Run(e.prog.icp, emu.Options{
 		MaxSteps:  maxSteps,
 		Layout:    opts.layout(),
@@ -174,7 +174,6 @@ func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error
 		State:     st,
 		Legacy:    legacy,
 		NoFuse:    noFuse,
-		Threaded:  threaded,
 		Events:    trace,
 	})
 	clean = true
@@ -232,7 +231,7 @@ func (e *Engine) Query(ctx context.Context, opts RunOptions) (_ *Solutions, err 
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
 	}
-	legacy, noFuse, threaded := opts.emuMode()
+	legacy, noFuse := opts.emuMode()
 	m := emu.New(e.prog.icp, emu.Options{
 		MaxSteps:  maxSteps,
 		Layout:    opts.layout(),
@@ -241,7 +240,6 @@ func (e *Engine) Query(ctx context.Context, opts RunOptions) (_ *Solutions, err 
 		State:     st,
 		Legacy:    legacy,
 		NoFuse:    noFuse,
-		Threaded:  threaded,
 		Events:    trace,
 	})
 	ok = true

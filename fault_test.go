@@ -278,14 +278,12 @@ func TestFaultDifferential(t *testing.T) {
 func randomOpts(rng *rand.Rand) faultsim.Opts {
 	var o faultsim.Opts
 	// The sequential dispatch mode is orthogonal to the injected resources;
-	// rotating it here runs the injection matrix over all four cores.
-	switch rng.Intn(4) {
+	// rotating it here runs the injection matrix over all three cores.
+	switch rng.Intn(3) {
 	case 0:
 		o.Legacy = true
 	case 1:
 		o.NoFuse = true
-	case 2:
-		o.Threaded = true
 	}
 	if rng.Intn(4) == 0 {
 		// Budget injection: far below any corpus program's cost on either

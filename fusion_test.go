@@ -17,11 +17,11 @@ import (
 // indistinguishable from the legacy reference interpreter: same Status,
 // Output and Steps (in original-ICI units), same Expect/Taken profile, and
 // the same typed fault at the same pc under every injected resource
-// configuration. These tests run all four execution modes — legacy, plain
-// predecoded (NoFuse), fused, and closure-threaded — over the full
-// benchmark suite and a fault matrix, comparing results exactly.
+// configuration. These tests run all three execution modes — legacy, plain
+// predecoded (NoFuse), and fused — over the full benchmark suite and a
+// fault matrix, comparing results exactly.
 
-// emuModes are the four sequential execution modes under test.
+// emuModes are the three sequential execution modes under test.
 var emuModes = []struct {
 	name string
 	set  func(*emu.Options)
@@ -29,7 +29,6 @@ var emuModes = []struct {
 	{"legacy", func(o *emu.Options) { o.Legacy = true }},
 	{"nofuse", func(o *emu.Options) { o.NoFuse = true }},
 	{"fused", func(o *emu.Options) {}},
-	{"threaded", func(o *emu.Options) { o.Threaded = true }},
 }
 
 // runMode executes prog's IC under one mode with the given base options.

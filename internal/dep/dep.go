@@ -129,6 +129,7 @@ func Build(insts []ic.Inst, opts Options) *Graph {
 	lastReads := map[ic.Reg][]int{} // reg → reader indexes since last write
 	var lastBranch = -1             // most recent control op
 	var lastSys = -1                // most recent sys escape
+	var lastSysWrite = -1           // most recent sys escape that may write memory
 	var stores []int                // store indexes
 	var loads []int                 // load indexes
 	branchesAbove := []int{}        // all control ops so far
@@ -166,11 +167,12 @@ func Build(insts []ic.Inst, opts Options) *Graph {
 					add(i, j, 1, Mem)
 				}
 			}
-			// Sys escapes may write memory (ball_put fills the ball area),
-			// and their operands are not base addresses mayAlias could
-			// reason about: order all later memory traffic behind them.
-			if lastSys >= 0 {
-				add(lastSys, j, 1, Mem)
+			// ball_put fills the ball area and a raised fault abandons the
+			// rest of the trace; neither has operands mayAlias could reason
+			// about, so later memory traffic stays behind them. The other
+			// escapes only read memory, so later loads may pass them.
+			if lastSysWrite >= 0 {
+				add(lastSysWrite, j, 1, Mem)
 			}
 			loads = append(loads, j)
 		case ic.St:
@@ -184,8 +186,16 @@ func Build(insts []ic.Inst, opts Options) *Graph {
 					add(i, j, 0, Mem) // load before store: same word is fine
 				}
 			}
+			// A store after any escape is a memory write after its read
+			// (write/1 prints the heap); after a writing escape it is also a
+			// write after write. Escapes are totally ordered, so an edge
+			// from the latest one covers every earlier one.
 			if lastSys >= 0 {
-				add(lastSys, j, 1, Mem)
+				lat := 0
+				if lastSys == lastSysWrite {
+					lat = 1
+				}
+				add(lastSys, j, lat, Mem)
 			}
 			stores = append(stores, j)
 		}
@@ -238,6 +248,9 @@ func Build(insts []ic.Inst, opts Options) *Graph {
 				add(i, j, 0, Mem) // reads must not see the sys's memory writes
 			}
 			lastSys = j
+			if in.Sys == ic.SysBallPut || in.Sys == ic.SysFault {
+				lastSysWrite = j
+			}
 		}
 
 		// Off-live speculation barriers: an instruction after a branch

@@ -174,6 +174,33 @@ func TestSysOrdering(t *testing.T) {
 	}
 }
 
+// TestSysMemoryEdges: escapes that only read memory let later loads pass
+// and keep later stores at or below them; ball_put writes the ball area, so
+// later loads and stores land strictly below it.
+func TestSysMemoryEdges(t *testing.T) {
+	insts := []ic.Inst{
+		{Op: ic.SysOp, Sys: ic.SysWrite, A: t0, B: ic.None},   // 0
+		{Op: ic.Ld, D: t1, A: ic.RegH},                        // 1
+		{Op: ic.St, A: ic.RegH, Imm: 1, B: t1},                // 2
+		{Op: ic.SysOp, Sys: ic.SysBallPut, A: t0, B: ic.None}, // 3
+		{Op: ic.Ld, D: t2, A: ic.RegE},                        // 4
+		{Op: ic.St, A: ic.RegE, Imm: 1, B: t2},                // 5
+	}
+	g := Build(insts, Options{MemLatency: 2})
+	if hasEdge(g, 0, 1, Mem) {
+		t.Error("write/1 only reads memory: a later load need not wait for it")
+	}
+	if l := edgeLat(g, 0, 2, Mem); l != 0 {
+		t.Errorf("write/1 → store latency = %d, want 0 (read before write)", l)
+	}
+	if l := edgeLat(g, 3, 4, Mem); l != 1 {
+		t.Errorf("ball_put → load latency = %d, want 1", l)
+	}
+	if l := edgeLat(g, 3, 5, Mem); l != 1 {
+		t.Errorf("ball_put → store latency = %d, want 1", l)
+	}
+}
+
 func TestLoadExitLatency(t *testing.T) {
 	// With bubble 0, a non-speculable load must sit one word above the
 	// branch so the off-trace consumer sees a completed load.

@@ -111,17 +111,6 @@ type Options struct {
 	// semantic baseline the predecoded loops are verified against (implied
 	// by Trace). Kept for differential tests and baseline benchmarks.
 	Legacy bool
-	// Threaded runs the closure-threaded core (threaded.go): the fused
-	// stream compiled into per-op closures with operands pre-resolved at
-	// build time, chained to their successors so the hot loop has no
-	// central dispatch switch. Observable behaviour — output, Steps, fault
-	// points, stats, suspend/resume — is identical to the switch loops
-	// (differentially tested). Precedence when flags are combined:
-	// Trace/Events/Legacy select the legacy interpreter, then Profile
-	// selects the profiled fused switch loop (the profile arrays are the
-	// dominant cost, so a threaded profiled variant would buy nothing),
-	// then Threaded, then NoFuse.
-	Threaded bool
 	// Events, if non-nil, receives executor milestone events (call/fail
 	// ports, choice-point push/pop, catch/throw, faults, halt). Like Trace
 	// it implies the legacy reference interpreter, so the predecoded loops
@@ -175,14 +164,6 @@ type Machine struct {
 	running    bool // inside a segment right now (selects the Wall formula)
 	stepsDone  int64
 	wallAcc    time.Duration
-
-	// Closure-threaded loop scratch (threaded.go). The per-op closures
-	// share one fixed signature that threads the loop-carried state (regs,
-	// mem, steps, step budget) through registers; the poll countdown and
-	// the terminal result/error ride here instead of widening every call.
-	tpoll int64
-	tres  *Result
-	terr  error
 }
 
 // Machine run phases.
@@ -240,7 +221,7 @@ func New(prog *ic.Program, opts Options) *Machine {
 		opts:    opts,
 		st:      st,
 		mem:     st.Mem(),
-		regs:    st.Regs(max(int(prog.MaxReg())+1, tregCap)),
+		regs:    st.Regs(int(prog.MaxReg()) + 1),
 		pc:      prog.Entry,
 		events:  opts.Events,
 		catchPC: -1,
@@ -416,35 +397,18 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		}
 	} else {
 		xp := exec.Of(m.prog)
-		var tp *tprog
-		if m.opts.Threaded && m.prof == nil {
-			// tops is nil when the program names a register past the threaded
-			// core's fixed register-file view; the fused loop below serves
-			// those (bit-identical results, just the slower dispatch).
-			if t := threadedOf(xp); t.tops != nil {
-				tp = t
-			}
+		s := &xp.Fused
+		if m.opts.NoFuse {
+			s = &xp.Plain
 		}
-		if tp != nil {
-			x := int(tp.s.Entry)
-			if resume {
-				x = int(tp.s.Fail)
-			}
-			res, err = m.runThreaded(tp, x)
+		x := int(s.Entry)
+		if resume {
+			x = int(s.Fail)
+		}
+		if m.prof != nil {
+			res, err = m.runProfiled(s, x)
 		} else {
-			s := &xp.Fused
-			if m.opts.NoFuse {
-				s = &xp.Plain
-			}
-			x := int(s.Entry)
-			if resume {
-				x = int(s.Fail)
-			}
-			if m.prof != nil {
-				res, err = m.runProfiled(s, x)
-			} else {
-				res, err = m.runFast(s, x)
-			}
+			res, err = m.runFast(s, x)
 		}
 	}
 	m.wallAcc += time.Since(m.start)

@@ -23,7 +23,7 @@ func suspendProg() *ic.Program {
 	return p
 }
 
-// resumeModes are the four dispatch families; suspend/resume must behave
+// resumeModes are the three dispatch families; suspend/resume must behave
 // identically on all of them.
 var resumeModes = []struct {
 	name string
@@ -32,7 +32,6 @@ var resumeModes = []struct {
 	{"fused", func(*Options) {}},
 	{"nofuse", func(o *Options) { o.NoFuse = true }},
 	{"legacy", func(o *Options) { o.Legacy = true }},
-	{"threaded", func(o *Options) { o.Threaded = true }},
 }
 
 // TestResumeLifecycle drives the phase machine through a full

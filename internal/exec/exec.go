@@ -21,8 +21,6 @@
 package exec
 
 import (
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"symbol/internal/ic"
@@ -305,49 +303,16 @@ type Program struct {
 	Plain Stream
 	Fused Stream
 	Stats Stats
-
-	// threadOnce/threadCache hold a derived execution form built lazily on
-	// top of the streams by a higher layer (the emulator's closure-threaded
-	// core), mirroring ic.Program.ExecCache one level up. The slot is opaque
-	// here so exec stays free of emulator types.
-	threadOnce  sync.Once
-	threadThis  any
-	threadBuilt atomic.Bool
 }
-
-// ThreadCache returns the cached derived execution form, calling build to
-// create it on first use. Safe for concurrent use; build runs at most once.
-func (p *Program) ThreadCache(build func() any) any {
-	p.threadOnce.Do(func() {
-		p.threadThis = build()
-		p.threadBuilt.Store(true)
-	})
-	return p.threadThis
-}
-
-// ThreadCached reports whether a derived threaded form has been built, so
-// size estimators can account for it without forcing the build.
-func (p *Program) ThreadCached() bool { return p.threadBuilt.Load() }
-
-// threadedBytesPerOp is the estimated resident cost of one fused-stream op
-// in the closure-threaded image: the slot itself plus the heap-allocated
-// closure and its captured, pre-resolved operands. It is deliberately an
-// estimate — the threaded form is opaque at this layer — sized from the
-// typical closure footprint measured by the memory profiler.
-const threadedBytesPerOp = 96
 
 // SizeBytes estimates the resident size of the predecoded execution image:
-// both op streams, the pc maps, and (when built) the closure-threaded form
-// derived from the fused stream. Budget-aware engine caches use it as the
+// both op streams and the pc maps. Budget-aware engine caches use it as the
 // per-program term of an engine's footprint; the pooled machine states are
 // accounted separately by the engine.
 func (p *Program) SizeBytes() int64 {
 	const opBytes = int64(unsafe.Sizeof(Op{}))
 	n := int64(len(p.Plain.Ops)+len(p.Fused.Ops)) * opBytes
 	n += int64(len(p.Plain.XOf)+len(p.Fused.XOf)) * 4
-	if p.ThreadCached() {
-		n += int64(len(p.Fused.Ops)) * threadedBytesPerOp
-	}
 	return n
 }
 

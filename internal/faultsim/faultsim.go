@@ -74,9 +74,6 @@ type Opts struct {
 	// Legacy makes Seq run the original reference interpreter instead of the
 	// predecoded stream, pinning a three-way miscompare to predecode itself.
 	Legacy bool
-	// Threaded makes Seq run the closure-threaded core, so the fourth
-	// dispatch mode is injectable under the same fault matrix as the rest.
-	Threaded bool
 }
 
 // Outcome classifies how a run ended.
@@ -109,7 +106,6 @@ func (u *Unit) Seq(opts Opts) Outcome {
 		Deadline: opts.Deadline,
 		NoFuse:   opts.NoFuse,
 		Legacy:   opts.Legacy,
-		Threaded: opts.Threaded,
 	})
 	if err != nil {
 		return Outcome{Kind: Classify(err), Err: err}

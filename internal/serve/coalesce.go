@@ -71,7 +71,6 @@ type classKey struct {
 	trail    int64
 	pdl      int64
 	dispatch symbol.Dispatch
-	nofuse   bool
 	timeout  time.Duration
 }
 
@@ -84,7 +83,6 @@ func classOf(opts symbol.RunOptions, timeout time.Duration) classKey {
 		trail:    opts.TrailWords,
 		pdl:      opts.PDLWords,
 		dispatch: opts.Dispatch,
-		nofuse:   opts.NoFuse,
 		timeout:  timeout,
 	}
 }

@@ -82,7 +82,7 @@ type Config struct {
 	// pool holds multi-hundred-megabyte states.
 	CacheBudgetBytes int64
 	// Dispatch selects the execution core every query runs under
-	// (legacy, nofuse, fused, threaded; default auto).
+	// (legacy, nofuse, fused; default auto).
 	Dispatch symbol.Dispatch
 	// BatchWindow is how long an admitted single-shot query may park
 	// waiting for coalescing company (default 2ms). A window closes early

@@ -68,7 +68,6 @@ func TestStatsParity(t *testing.T) {
 				"nofuse":   {NoFuse: true},
 				"legacy":   {Legacy: true},
 				"profiled": {Profile: true},
-				"threaded": {Threaded: true},
 			}
 			for name, opts := range modes {
 				res, err := emu.Run(prog.icp, opts)

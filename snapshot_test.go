@@ -77,12 +77,13 @@ func TestSnapshotRoundTripCorpus(t *testing.T) {
 // TestSnapshotDifferential runs each corpus program twice — compiled from
 // source and loaded from its snapshot — under every dispatch mode, and
 // requires identical observable results: success, output, steps, and every
-// Stats counter except wall time.
+// Stats counter except wall time. Each side runs every mode through one
+// engine, so a program's runs share one pooled machine state per side
+// instead of allocating a full state per run.
 func TestSnapshotDifferential(t *testing.T) {
 	ctx := context.Background()
 	modes := []symbol.Dispatch{
-		symbol.DispatchLegacy, symbol.DispatchNoFuse,
-		symbol.DispatchFused, symbol.DispatchThreaded,
+		symbol.DispatchLegacy, symbol.DispatchNoFuse, symbol.DispatchFused,
 	}
 	for _, b := range snapshotCorpus(t) {
 		t.Run(b.Name, func(t *testing.T) {
@@ -95,12 +96,13 @@ func TestSnapshotDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Load snapshot: %v", err)
 			}
+			origEng, loadedEng := symbol.NewEngine(orig), symbol.NewEngine(loaded)
 			for _, mode := range modes {
-				want, err := orig.RunContext(ctx, symbol.WithDispatch(mode))
+				want, err := origEng.Run(ctx, symbol.RunOptions{Dispatch: mode})
 				if err != nil {
 					t.Fatalf("%v compiled run: %v", mode, err)
 				}
-				got, err := loaded.RunContext(ctx, symbol.WithDispatch(mode))
+				got, err := loadedEng.Run(ctx, symbol.RunOptions{Dispatch: mode})
 				if err != nil {
 					t.Fatalf("%v snapshot run: %v", mode, err)
 				}
@@ -168,8 +170,7 @@ func TestSnapshotFaultParity(t *testing.T) {
 		t.Fatalf("Load snapshot: %v", err)
 	}
 	for _, mode := range []symbol.Dispatch{
-		symbol.DispatchLegacy, symbol.DispatchNoFuse,
-		symbol.DispatchFused, symbol.DispatchThreaded,
+		symbol.DispatchLegacy, symbol.DispatchNoFuse, symbol.DispatchFused,
 	} {
 		_, werr := orig.RunContext(ctx, symbol.WithDispatch(mode))
 		_, gerr := loaded.RunContext(ctx, symbol.WithDispatch(mode))

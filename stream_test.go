@@ -69,8 +69,8 @@ func TestQueryStreamsSolutions(t *testing.T) {
 
 // TestQueryStreamDifferential is the acceptance differential: the full
 // 92-solution 8-queens stream must be identical — count, per-solution
-// Output, per-solution cumulative Steps — across all four dispatch modes
-// (fused, closure-threaded, plain predecoded, legacy interpreter).
+// Output, per-solution cumulative Steps — across all three dispatch modes
+// (fused, plain predecoded, legacy interpreter).
 func TestQueryStreamDifferential(t *testing.T) {
 	b, err := benchprog.Get("queens_8")
 	if err != nil {
@@ -81,7 +81,6 @@ func TestQueryStreamDifferential(t *testing.T) {
 		opts []RunOption
 	}{
 		{"fused", nil},
-		{"threaded", []RunOption{WithDispatch(DispatchThreaded)}},
 		{"nofuse", []RunOption{WithDispatch(DispatchNoFuse)}},
 		{"legacy", []RunOption{WithTrace(4)}},
 	}

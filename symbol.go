@@ -130,7 +130,7 @@ type Dispatch uint8
 const (
 	// DispatchAuto uses the default core. Auto tracks whatever the best
 	// general-purpose core is rather than pinning one; today it selects
-	// the fused switch loop (threaded is opt-in while it soaks).
+	// the fused switch loop.
 	DispatchAuto Dispatch = iota
 	// DispatchLegacy is the original non-predecoded reference interpreter,
 	// the semantic baseline (and the only core that supports tracing).
@@ -140,11 +140,14 @@ const (
 	DispatchNoFuse
 	// DispatchFused runs the fused predecoded stream (superinstructions).
 	DispatchFused
-	// DispatchThreaded runs the closure-threaded core: the fused stream
-	// compiled to per-op closures with operands pre-resolved at build time,
-	// chained to their successors with no central dispatch switch.
-	DispatchThreaded
 )
+
+// DispatchThreaded named the closure-threaded core, which was removed
+// because it did not clear the fused core across the corpus. It now selects
+// the fused core.
+//
+// Deprecated: use DispatchFused.
+const DispatchThreaded = DispatchFused
 
 // String returns the flag-compatible name of the mode.
 func (d Dispatch) String() string {
@@ -157,8 +160,6 @@ func (d Dispatch) String() string {
 		return "nofuse"
 	case DispatchFused:
 		return "fused"
-	case DispatchThreaded:
-		return "threaded"
 	}
 	return fmt.Sprintf("Dispatch(%d)", uint8(d))
 }
@@ -175,10 +176,8 @@ func ParseDispatch(s string) (Dispatch, error) {
 		return DispatchNoFuse, nil
 	case "fused":
 		return DispatchFused, nil
-	case "threaded":
-		return DispatchThreaded, nil
 	}
-	return DispatchAuto, fmt.Errorf("symbol: unknown dispatch mode %q (want legacy, nofuse, fused or threaded)", s)
+	return DispatchAuto, fmt.Errorf("symbol: unknown dispatch mode %q (want legacy, nofuse or fused)", s)
 }
 
 // RunOptions bound one execution (sequential or simulated): resource
@@ -196,19 +195,12 @@ type RunOptions struct {
 	TrailWords int64
 	PDLWords   int64
 	// Dispatch selects the sequential emulator's execution core (legacy,
-	// plain predecoded, fused, or closure-threaded). Observable behaviour is
-	// identical across all of them; the knob exists for benchmarking the
-	// dispatch layers and for pinning down a miscompare. DispatchAuto (the
-	// zero value) defers to NoFuse for compatibility, then to the default
-	// core. TraceEvents overrides any choice here: tracing requires the
-	// legacy interpreter.
+	// plain predecoded, or fused). Observable behaviour is identical across
+	// all of them; the knob exists for benchmarking the dispatch layers and
+	// for pinning down a miscompare. DispatchAuto (the zero value) selects
+	// the default core. TraceEvents overrides any choice here: tracing
+	// requires the legacy interpreter.
 	Dispatch Dispatch
-	// NoFuse disables superinstruction fusion in the sequential emulator,
-	// running the plain predecoded stream instead.
-	//
-	// Deprecated: set Dispatch to DispatchNoFuse. NoFuse remains as an
-	// alias; setting both to conflicting values is a validation error.
-	NoFuse bool
 	// TraceEvents, when positive, records the run's last TraceEvents
 	// executor milestones (calls, fails, choice-point pushes/pops,
 	// catch/throw, faults) into Result.Events / SimResult.Events. Tracing a
@@ -280,18 +272,6 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("symbol: invalid RunOptions.%s: %d", e.Field, e.Value)
 }
 
-// DispatchConflictError reports RunOptions naming two different execution
-// cores at once: the deprecated NoFuse alias set alongside a Dispatch other
-// than DispatchNoFuse. Like *OptionError it is returned before any machine
-// state is touched.
-type DispatchConflictError struct {
-	Dispatch Dispatch
-}
-
-func (e *DispatchConflictError) Error() string {
-	return fmt.Sprintf("symbol: conflicting RunOptions: NoFuse with Dispatch %s (drop the deprecated NoFuse alias)", e.Dispatch)
-}
-
 // Validate checks the options. Zero values are always valid (they mean the
 // defaults); negative budgets and negative area sizes are rejected with a
 // *OptionError. Oversized areas are not an error — ic.Layout clamps them to
@@ -314,32 +294,12 @@ func (o RunOptions) Validate() error {
 			return &OptionError{Field: f.name, Value: f.v}
 		}
 	}
-	if o.NoFuse && o.Dispatch != DispatchAuto && o.Dispatch != DispatchNoFuse {
-		return &DispatchConflictError{Dispatch: o.Dispatch}
-	}
 	return nil
 }
 
-// dispatch resolves the effective execution core: the enum wins, with the
-// deprecated NoFuse alias filling in while the enum is DispatchAuto.
-func (o RunOptions) dispatch() Dispatch {
-	if o.Dispatch == DispatchAuto && o.NoFuse {
-		return DispatchNoFuse
-	}
-	return o.Dispatch
-}
-
-// emuMode expands the resolved dispatch into the emulator's mode flags.
-func (o RunOptions) emuMode() (legacy, noFuse, threaded bool) {
-	switch o.dispatch() {
-	case DispatchLegacy:
-		legacy = true
-	case DispatchNoFuse:
-		noFuse = true
-	case DispatchThreaded:
-		threaded = true
-	}
-	return
+// emuMode expands the dispatch choice into the emulator's mode flags.
+func (o RunOptions) emuMode() (legacy, noFuse bool) {
+	return o.Dispatch == DispatchLegacy, o.Dispatch == DispatchNoFuse
 }
 
 func (o RunOptions) layout() ic.Layout {
