@@ -40,6 +40,7 @@ import (
 
 	"symbol"
 	"symbol/internal/benchprog"
+	"symbol/internal/emu"
 	"symbol/internal/experiments"
 )
 
@@ -209,8 +210,19 @@ func benchEngine(name string, workers, runs int) error {
 		return nil
 	}
 
+	// The baseline runs the emulator with no State, so every run allocates
+	// and faults in a fresh memory image; the engine's runs share the
+	// process-wide idle list.
+	baseRun := func() error {
+		res, err := emu.Run(prog.IC(), emu.Options{})
+		if err != nil {
+			return err
+		}
+		return check(&symbol.Result{Succeeded: res.Status == 0, Output: res.Output}, nil)
+	}
+
 	// Warm-up: page in the code path and validate the answer once per path.
-	if err := check(prog.Run()); err != nil {
+	if err := baseRun(); err != nil {
 		return err
 	}
 	eng := symbol.NewEngine(prog)
@@ -219,10 +231,10 @@ func benchEngine(name string, workers, runs int) error {
 		return err
 	}
 
-	// Baseline: today's serial allocate-per-run path.
+	// Baseline: serial, one fresh state per run.
 	baseT, baseAllocs, baseBytes, err := measure(func() error {
 		for i := 0; i < runs; i++ {
-			if err := check(prog.Run()); err != nil {
+			if err := baseRun(); err != nil {
 				return err
 			}
 		}
@@ -232,7 +244,7 @@ func benchEngine(name string, workers, runs int) error {
 		return err
 	}
 
-	// Pooled engine driven by `workers` goroutines sharing the state pool.
+	// Pooled engine driven by `workers` goroutines sharing the idle list.
 	poolT, poolAllocs, poolBytes, err := measure(func() error {
 		var next atomic.Int64
 		var firstErr atomic.Value

@@ -21,12 +21,15 @@ import (
 // Engine is a goroutine-safe query engine over one compiled Program. It
 // answers many queries concurrently by recycling machine state (the
 // multi-megaword simulated memory image, the register file and the VLIW
-// ready array) through a sync.Pool: each run grabs a zeroed ic.State,
-// executes, resets it in O(words actually written), and returns it to the
-// pool. This replaces the allocate-per-run baseline of Program.Run, whose
-// fresh ~19M-word memory image per query collapses throughput under GC
-// pressure exactly where the paper's memory-operation analysis (~32% of the
-// dynamic mix) says the hot path lives.
+// ready array): each run takes a zeroed ic.State from the process-wide idle
+// list, executes, resets it in O(words actually written), and puts it back.
+// A reset state does not depend on the program, so every engine in the
+// process shares the one list: a new engine borrows the states its
+// predecessors released, and an engine owns no state between runs. This
+// replaces the allocate-per-run baseline, whose fresh ~19M-word memory image
+// per query collapses throughput under GC pressure exactly where the
+// paper's memory-operation analysis (~32% of the dynamic mix) says the hot
+// path lives.
 //
 // All methods are safe for concurrent use. Per-run RunOptions keep their
 // full fault and budget semantics: shrunken areas, step/cycle budgets and
@@ -35,14 +38,7 @@ type Engine struct {
 	prog *Program
 	conf MachineConfig
 	sops ScheduleOptions
-	pool sync.Pool // *ic.State
 	met  obs.Metrics
-
-	// states counts machine states ever allocated for the pool (pool
-	// misses). It only grows — sync.Pool may drop states under GC pressure
-	// without telling us — so Footprint reads it as a deliberate
-	// overestimate: the safe direction for a cache evicting by bytes.
-	states atomic.Int64
 
 	schedOnce sync.Once
 	sched     *Scheduled
@@ -59,25 +55,15 @@ func NewEngine(p *Program) *Engine {
 // conf under sopts. Scheduling (and the profiling run it needs) happens
 // lazily on the first Simulate call.
 func NewEngineConfig(p *Program, conf MachineConfig, sopts ScheduleOptions) *Engine {
-	e := &Engine{prog: p, conf: conf, sops: sopts}
-	e.pool.New = func() any {
-		e.met.RecordPoolMiss()
-		e.states.Add(1)
-		return ic.NewState()
-	}
-	return e
+	return &Engine{prog: p, conf: conf, sops: sopts}
 }
 
-// Footprint estimates the engine's resident bytes: every machine state ever
-// allocated for the pool (the dominant term — one state is the full
-// simulated memory image) plus the compiled code and, once a run has built
-// them, the predecoded execution streams. It is intentionally
-// an upper bound — sync.Pool may have released states to the GC — because
-// its consumer is budget-based cache eviction, where overestimating evicts
-// early and underestimating blows the budget.
+// Footprint estimates the bytes the engine owns: the compiled code and,
+// once a run has built them, the predecoded execution streams. Machine
+// states are not counted: between runs they sit on the process-wide idle
+// list, owned by no engine.
 func (e *Engine) Footprint() int64 {
-	n := e.states.Load() * ic.StateBytes()
-	n += int64(len(e.prog.icp.Code)) * 64 // ic.Inst stream + symbol tables, nominal
+	n := int64(len(e.prog.icp.Code)) * 64 // ic.Inst stream + symbol tables, nominal
 	if img := e.prog.icp.ExecCached(); img != nil {
 		if xp, ok := img.(*exec.Program); ok {
 			n += xp.SizeBytes()
@@ -89,19 +75,23 @@ func (e *Engine) Footprint() int64 {
 // Program returns the compiled program the engine serves.
 func (e *Engine) Program() *Program { return e.prog }
 
-// acquire takes a zeroed machine state from the pool. Misses (fresh
-// allocations) are counted by the pool's New hook.
+// acquire takes a zeroed machine state from the process-wide idle list,
+// counting a pool miss when the list was empty and a fresh state had to be
+// allocated.
 func (e *Engine) acquire() *ic.State {
 	e.met.RecordPoolGet()
-	return e.pool.Get().(*ic.State)
+	st, fresh := ic.Acquire()
+	if fresh {
+		e.met.RecordPoolMiss()
+	}
+	return st
 }
 
 // release resets st (O(dirty) — only the pages the run wrote) and returns
-// it to the pool for the next query.
+// it to the process-wide idle list for the next query of any engine.
 func (e *Engine) release(st *ic.State) {
 	e.met.RecordReset(st.DirtyPages())
-	st.Reset()
-	e.pool.Put(st)
+	st.Release()
 }
 
 // interruptOf exposes a context's cancellation signal to the executors
@@ -126,7 +116,7 @@ func deadlineOf(ctx context.Context, opts RunOptions) RunOptions {
 	return opts
 }
 
-// Run answers one query on the sequential emulator using pooled machine
+// Run answers one query on the sequential emulator using a recycled machine
 // state. Cancelling ctx aborts the run with ErrCanceled; a ctx deadline
 // tightens opts.Deadline.
 func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error) {
@@ -201,7 +191,7 @@ func (e *Engine) RunContext(ctx context.Context, opts ...RunOption) (*Result, er
 // Query starts the query on the sequential emulator and returns a
 // Solutions stream over all of its answers instead of just the first: the
 // machine suspends at each solution and backtracks on demand when the
-// caller asks for the next one. The stream holds one pooled state and one
+// caller asks for the next one. The stream holds one machine state and one
 // in-flight metrics slot until it finishes or is Closed; budgets
 // (MaxSteps, Deadline, ctx cancellation) span the whole stream. Query
 // itself does not execute anything — the first Next does — so a returned
@@ -261,9 +251,9 @@ func (e *Engine) Scheduled() (*Scheduled, error) {
 	return e.sched, e.schedErr
 }
 
-// Simulate answers one query on the cycle-level VLIW simulator using pooled
-// machine state, scheduling the program on first use. Cancelling ctx aborts
-// the run with ErrCanceled.
+// Simulate answers one query on the cycle-level VLIW simulator using a
+// recycled machine state, scheduling the program on first use. Cancelling
+// ctx aborts the run with ErrCanceled.
 func (e *Engine) Simulate(ctx context.Context, opts RunOptions) (_ *SimResult, err error) {
 	defer guard(&err)
 	if err := opts.Validate(); err != nil {
@@ -391,8 +381,9 @@ func (e *Engine) PublishExpvar(name string) error {
 
 // Pressure reads a cheap point-in-time load signal (a few atomic loads, no
 // histogram copying): how many runs are executing right now, how many have
-// ever started, and how often the state pool had to allocate. Admission
-// controllers can poll it on every request without measurable cost.
+// ever started, and how often a checkout found the idle state list empty
+// and had to allocate. Admission controllers can poll it on every request
+// without measurable cost.
 func (e *Engine) Pressure() Pressure { return e.met.Pressure() }
 
 // WaitIdle blocks until the engine has no runs in flight, polling the
@@ -440,7 +431,7 @@ type BatchRun struct {
 }
 
 // RunAll answers runs[i] for every i, fanning the batch out across
-// min(GOMAXPROCS, len(runs)) workers that share the engine's state pool.
+// min(GOMAXPROCS, len(runs)) workers that share the idle state list.
 // Each run keeps its own RunOptions semantics (budgets, deadlines, area
 // sizes, typed faults). Cancelling ctx aborts in-flight runs with
 // ErrCanceled and marks unstarted ones the same way; the returned slice
@@ -455,13 +446,13 @@ func (e *Engine) RunAll(ctx context.Context, runs []RunOptions) []BatchResult {
 
 // RunBatch is the batch entry point RunAll is built on: it answers every
 // entry, fanning out across min(GOMAXPROCS, len(batch)) workers that share
-// the engine's state pool, with per-entry contexts honoured alongside the
+// the idle state list, with per-entry contexts honoured alongside the
 // batch context. Because the engine is deterministic — the same program on
 // a fresh state under the same budgets computes the same answer — a caller
 // may execute one entry per *distinct* budget class and share the result
 // across every request that posed it; that coalescing contract is what the
 // serving layer's batcher relies on, and it is only sound because each run
-// starts from a zeroed pooled state.
+// starts from a zeroed recycled state.
 //
 // The returned slice always has len(batch) entries, index-aligned with the
 // input. Cancelling ctx aborts every run; cancelling an entry's own Ctx
@@ -512,8 +503,8 @@ func (e *Engine) RunBatch(ctx context.Context, batch []BatchRun) []BatchResult {
 }
 
 // runBatchOne runs one batch entry, short-circuiting runs whose context is
-// already dead so a cancelled batch drains in O(len) without touching the
-// pool.
+// already dead so a cancelled batch drains in O(len) without touching a
+// machine state.
 func (e *Engine) runBatchOne(ctx context.Context, opts RunOptions) (*Result, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ErrCanceled

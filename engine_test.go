@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"symbol/internal/emu"
 )
 
 const engineSrc = `
@@ -109,9 +111,9 @@ func engineStressCases() []RunOptions {
 }
 
 // TestEngineConcurrentStress runs N goroutines x M mixed queries against
-// one Engine and asserts every outcome is identical to a serial
-// allocate-per-run execution of the same options: same success, same
-// output, same typed fault kind.
+// one Engine and asserts every outcome is identical to a serial one-shot
+// execution of the same options: same success, same output, same typed
+// fault kind.
 func TestEngineConcurrentStress(t *testing.T) {
 	prog, err := Compile(engineSrc)
 	if err != nil {
@@ -119,7 +121,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 	cases := engineStressCases()
 
-	// Serial ground truth, one fresh machine per case.
+	// Serial ground truth, one one-shot run per case.
 	type outcome struct {
 		res *Result
 		err error
@@ -162,9 +164,9 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestEngineSimulatePooled checks the pooled VLIW path against the
-// allocate-per-run Scheduled.Simulate, including repeat runs on the same
-// recycled state.
+// TestEngineSimulatePooled checks the engine's VLIW path against the
+// one-shot Scheduled.Simulate, including repeat runs on the same recycled
+// state.
 func TestEngineSimulatePooled(t *testing.T) {
 	prog, err := Compile(engineSrc)
 	if err != nil {
@@ -236,13 +238,10 @@ main :- catch(build(3000, _L), resource_error(A), (write(caught(A)), nl)).
 	}
 }
 
-// TestEngineRunAllocs asserts the point of the pool: steady-state pooled
-// runs allocate far less than the allocate-per-run baseline (which makes a
-// fresh ~19M-word memory image and rescans the code for every query).
+// TestEngineRunAllocs asserts the point of recycling states: steady-state
+// engine runs allocate far less than the allocate-per-run baseline (which
+// makes a fresh ~19M-word memory image for every query).
 func TestEngineRunAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector; allocation counts are not meaningful")
-	}
 	prog, err := Compile(engineSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +253,10 @@ func TestEngineRunAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The baseline runs with no State, so each run allocates a fresh one;
+	// prog.Run would borrow from the shared idle list like the engine.
 	baseline := testing.AllocsPerRun(5, func() {
-		if _, err := prog.Run(); err != nil {
+		if _, err := emu.Run(prog.IC(), emu.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -337,8 +338,9 @@ func TestRunBatchPerEntryCancel(t *testing.T) {
 }
 
 // TestEngineFootprint: a never-run engine's footprint is code-only; the
-// first run faults in a pooled machine state, which dominates the
-// estimate, and the figure never decreases across runs.
+// first run builds the predecoded streams, which the estimate then counts,
+// and the figure never decreases across runs. Machine states are not
+// counted: engines hold none between runs.
 func TestEngineFootprint(t *testing.T) {
 	prog, err := Compile(engineSrc)
 	if err != nil {
@@ -354,7 +356,7 @@ func TestEngineFootprint(t *testing.T) {
 	}
 	warm := eng.Footprint()
 	if warm <= cold {
-		t.Fatalf("warm footprint = %d, want > cold %d (a pooled state was allocated)", warm, cold)
+		t.Fatalf("warm footprint = %d, want > cold %d (the predecoded streams were built)", warm, cold)
 	}
 	if _, err := eng.Run(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)

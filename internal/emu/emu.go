@@ -296,7 +296,7 @@ func (m *Machine) uncaught() error {
 		return m.faultErr(m.pendingFault)
 	}
 	reason := fault.UncaughtThrow.String()
-	if s, err := mterm.FormatOps(mterm.SliceMem(m.mem), m.prog.Atoms, m.mem[ic.BallBase+1]); err == nil {
+	if s, err := mterm.FormatOps(m.memView(), m.prog.Atoms, m.mem[ic.BallBase+1]); err == nil {
 		reason += ": " + s
 	}
 	e := m.fail(reason)
@@ -768,8 +768,12 @@ func (m *Machine) evalCmp(in *ic.Inst) bool {
 // one small method per SysID (the predecoded stream has a distinct opcode
 // for each, so the legacy dispatch below is only used under Trace/Legacy).
 
+// memView is the machine's memory as an mterm.Mem. A pointer converts to an
+// interface without allocating; the slice value would be boxed per call.
+func (m *Machine) memView() mterm.Mem { return (*mterm.SliceMem)(&m.mem) }
+
 func (m *Machine) sysWrite(a ic.Reg) error {
-	s, err := mterm.FormatOps(mterm.SliceMem(m.mem), m.prog.Atoms, m.regs[a])
+	s, err := mterm.FormatOps(m.memView(), m.prog.Atoms, m.regs[a])
 	if err != nil {
 		return err
 	}
@@ -778,7 +782,7 @@ func (m *Machine) sysWrite(a ic.Reg) error {
 }
 
 func (m *Machine) sysCompare(a, b ic.Reg) error {
-	c, err := mterm.Compare(mterm.SliceMem(m.mem), m.prog.Atoms, m.regs[a], m.regs[b])
+	c, err := mterm.Compare(m.memView(), m.prog.Atoms, m.regs[a], m.regs[b])
 	if err != nil {
 		return err
 	}
@@ -819,5 +823,5 @@ func (m *Machine) sys(in *ic.Inst) error {
 
 // FormatTerm renders a runtime term the way write/1 does.
 func (m *Machine) FormatTerm(w word.W) (string, error) {
-	return mterm.FormatOps(mterm.SliceMem(m.mem), m.prog.Atoms, w)
+	return mterm.FormatOps(m.memView(), m.prog.Atoms, w)
 }

@@ -307,8 +307,8 @@ type Program struct {
 
 // SizeBytes estimates the resident size of the predecoded execution image:
 // both op streams and the pc maps. Budget-aware engine caches use it as the
-// per-program term of an engine's footprint; the pooled machine states are
-// accounted separately by the engine.
+// per-program term of an engine's footprint; machine states belong to the
+// process-wide idle list, not to any engine, and are not counted.
 func (p *Program) SizeBytes() int64 {
 	const opBytes = int64(unsafe.Sizeof(Op{}))
 	n := int64(len(p.Plain.Ops)+len(p.Fused.Ops)) * opBytes

@@ -100,13 +100,16 @@ func Classify(err error) fault.Kind {
 
 // Seq runs the program on the sequential emulator under opts.
 func (u *Unit) Seq(opts Opts) Outcome {
+	st, _ := ic.Acquire()
 	res, err := emu.Run(u.IC, emu.Options{
 		MaxSteps: opts.MaxSteps,
 		Layout:   opts.Layout,
 		Deadline: opts.Deadline,
+		State:    st,
 		NoFuse:   opts.NoFuse,
 		Legacy:   opts.Legacy,
 	})
+	st.Release()
 	if err != nil {
 		return Outcome{Kind: Classify(err), Err: err}
 	}
@@ -119,7 +122,9 @@ func (u *Unit) schedule() (*vliw.Program, error) {
 	if u.vp != nil {
 		return u.vp, nil
 	}
-	res, err := emu.Run(u.IC, emu.Options{Profile: true})
+	st, _ := ic.Acquire()
+	res, err := emu.Run(u.IC, emu.Options{Profile: true, State: st})
+	st.Release()
 	if err != nil {
 		return nil, fmt.Errorf("faultsim: profiling run failed: %w", err)
 	}
@@ -139,11 +144,14 @@ func (u *Unit) VLIW(opts Opts) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, err
 	}
+	st, _ := ic.Acquire()
 	res, err := vliw.Sim(vp, vliw.SimOptions{
 		MaxCycles: opts.MaxCycles,
 		Layout:    opts.Layout,
 		Deadline:  opts.Deadline,
+		State:     st,
 	})
+	st.Release()
 	if err != nil {
 		return Outcome{Kind: Classify(err), Err: err}, nil
 	}

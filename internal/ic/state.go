@@ -1,6 +1,11 @@
 package ic
 
-import "symbol/internal/word"
+import (
+	"runtime"
+	"sync"
+
+	"symbol/internal/word"
+)
 
 // Dirty-page tracking granularity. Every store into the simulated memory
 // marks its page; Reset zeroes only the marked pages, so recycling a State
@@ -17,8 +22,8 @@ const (
 // tagged memory image and the (virtual) register file, plus the VLIW
 // simulator's per-register ready cycles. It exists so that an embedding
 // process serving many queries can recycle the multi-megaword memory image
-// through a pool instead of allocating and faulting it in from scratch on
-// every run.
+// through the process-wide idle list (Acquire, Release) instead of
+// allocating and faulting it in from scratch on every run.
 //
 // A State is NOT safe for concurrent use; it represents one machine. The
 // contract with the executors:
@@ -38,7 +43,8 @@ type State struct {
 }
 
 // NewState allocates a zeroed machine state sized for the compile-time
-// memory layout.
+// memory layout. Executors that run many queries take states from Acquire
+// instead.
 func NewState() *State {
 	return &State{
 		mem:      make([]word.W, MemWords),
@@ -48,18 +54,6 @@ func NewState() *State {
 
 // Mem returns the simulated memory image (always MemWords long).
 func (s *State) Mem() []word.W { return s.mem }
-
-// StateBytes estimates the resident size of one State in bytes: the full
-// memory image (the dominant term, ~19M words), the per-page dirty table,
-// and a nominal allowance for the register and ready arrays. Budget-aware
-// caches use it to convert "engines × pooled states" into a byte figure
-// they can evict against; it is an estimate of steady-state residency, not
-// an exact accounting (a fresh State's image is untouched zero pages until
-// a run faults them in).
-func StateBytes() int64 {
-	const wordBytes = 8 // word.W is a uint64
-	return int64(MemWords)*wordBytes + numPages + 4096
-}
 
 // Regs returns a zeroed register file of at least n registers, reusing the
 // previous run's backing array when it is large enough. (Reset already
@@ -157,4 +151,51 @@ func (s *State) Reset() {
 	s.dirty = s.dirty[:0]
 	clear(s.regs[:cap(s.regs)])
 	clear(s.ready[:cap(s.ready)])
+}
+
+// idle is the process-wide list of reset states waiting for their next run.
+// A reset State is all zeroes and independent of the program it last ran,
+// so every engine in the process shares one list. It is a mutex and a
+// slice, not a sync.Pool: a collection empties a sync.Pool, and refilling
+// it means allocating and zeroing a fresh memory image per miss.
+var idle struct {
+	mu     sync.Mutex
+	states []*State
+}
+
+// Acquire returns an all-zero state: the most recently released idle one,
+// or, when none is idle, a freshly allocated one (fresh reports which).
+func Acquire() (st *State, fresh bool) {
+	idle.mu.Lock()
+	if n := len(idle.states); n > 0 {
+		st = idle.states[n-1]
+		idle.states[n-1] = nil
+		idle.states = idle.states[:n-1]
+		idle.mu.Unlock()
+		return st, false
+	}
+	idle.mu.Unlock()
+	return NewState(), true
+}
+
+// Release resets s and puts it on the idle list for the next Acquire. The
+// list keeps at most runtime.GOMAXPROCS(0) states, the number of runs that
+// can execute at once; a state released past that cap is left to the
+// collector. The caller must not use s afterwards, and must drop a state
+// instead of releasing it when a run may have written memory without
+// marking it (a panic mid-store), because Reset clears only marked pages.
+func (s *State) Release() {
+	s.Reset()
+	idle.mu.Lock()
+	if len(idle.states) < runtime.GOMAXPROCS(0) {
+		idle.states = append(idle.states, s)
+	}
+	idle.mu.Unlock()
+}
+
+// Idle reports how many reset states are on the idle list.
+func Idle() int {
+	idle.mu.Lock()
+	defer idle.mu.Unlock()
+	return len(idle.states)
 }

@@ -1,6 +1,7 @@
 package ic
 
 import (
+	"runtime"
 	"testing"
 
 	"symbol/internal/word"
@@ -106,5 +107,59 @@ func TestProgramMaxReg(t *testing.T) {
 	// Cached: a second call returns the same value.
 	if got := p.MaxReg(); got != FirstTemp+9 {
 		t.Fatalf("cached MaxReg=%d", got)
+	}
+}
+
+// TestAcquireReleaseZero: a state released with dirty memory pages, a
+// written register file and ready array comes back from Acquire all zero.
+func TestAcquireReleaseZero(t *testing.T) {
+	s, _ := Acquire()
+	mem := s.Mem()
+	for i, a := range []uint64{0, HeapBase + 77, EnvBase + 7, TrailBase, MemWords - 1} {
+		mem[a] = word.MakeInt(int64(i + 1))
+		s.Touch(a)
+	}
+	s.Regs(64)[40] = word.MakeInt(9)
+	s.Ready(64)[33] = 12
+	s.Release()
+
+	got, fresh := Acquire()
+	defer got.Release()
+	if got != s || fresh {
+		t.Fatalf("Acquire after Release returned %p (fresh=%v), want the released %p", got, fresh, s)
+	}
+	if n := got.DirtyPages(); n != 0 {
+		t.Fatalf("DirtyPages=%d on an acquired state, want 0", n)
+	}
+	for a, w := range got.Mem() {
+		if w != 0 {
+			t.Fatalf("mem[%#x]=%v on an acquired state, want 0", a, w)
+		}
+	}
+	for i, r := range got.Regs(64) {
+		if r != 0 {
+			t.Fatalf("regs[%d]=%v on an acquired state, want 0", i, r)
+		}
+	}
+	for i, r := range got.Ready(64) {
+		if r != 0 {
+			t.Fatalf("ready[%d]=%v on an acquired state, want 0", i, r)
+		}
+	}
+}
+
+// TestReleaseCapsIdle: releasing more states than GOMAXPROCS keeps only
+// GOMAXPROCS of them idle.
+func TestReleaseCapsIdle(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	states := make([]*State, procs+2)
+	for i := range states {
+		states[i], _ = Acquire()
+	}
+	for _, s := range states {
+		s.Release()
+	}
+	if n := Idle(); n != procs {
+		t.Fatalf("Idle()=%d after releasing %d states, want GOMAXPROCS = %d", n, len(states), procs)
 	}
 }

@@ -2,6 +2,7 @@ package mterm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"symbol/internal/term"
@@ -112,6 +113,16 @@ func (g *glueWriter) WriteByte(c byte) error {
 // standard operators, inserting parentheses only where priorities demand
 // and spaces only where tokens would otherwise glue.
 func FormatOps(m Mem, atoms *term.Table, w word.W) (string, error) {
+	// An integer or atom prints as its one token: no glue to decide, so no
+	// builder to allocate.
+	if d, err := Deref(m, w); err == nil {
+		switch d.Tag() {
+		case word.Int:
+			return strconv.FormatInt(d.Int(), 10), nil
+		case word.Atom:
+			return atoms.Name(uint32(d.Val())), nil
+		}
+	}
 	var b glueWriter
 	if err := formatOps(&b, m, atoms, w, 1200, 0); err != nil {
 		return "", err
@@ -133,7 +144,7 @@ func formatOps(b *glueWriter, m Mem, atoms *term.Table, w word.W, maxPrec, depth
 		b.WriteString(fmt.Sprintf("_%d", w.Ptr()))
 		return nil
 	case word.Int:
-		b.WriteString(fmt.Sprintf("%d", w.Int()))
+		b.WriteString(strconv.FormatInt(w.Int(), 10))
 		return nil
 	case word.Atom:
 		b.WriteString(atoms.Name(uint32(w.Val())))

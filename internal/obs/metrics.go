@@ -132,15 +132,15 @@ func (m *Metrics) RecordFailed(k fault.Kind, wall time.Duration) {
 // RecordRejected notes a run refused before it started (invalid options).
 func (m *Metrics) RecordRejected() { m.rejected.Add(1) }
 
-// RecordPoolGet notes a machine-state checkout from the pool.
+// RecordPoolGet notes a machine-state checkout from the idle list.
 func (m *Metrics) RecordPoolGet() { m.poolGets.Add(1) }
 
 // RecordPoolMiss notes a checkout that had to allocate a fresh
-// multi-megaword state (the pool's New hook fired). A miss is always also a
+// multi-megaword state (the idle list was empty). A miss is always also a
 // get, so PoolMisses <= PoolGets.
 func (m *Metrics) RecordPoolMiss() { m.poolMisses.Add(1) }
 
-// RecordReset notes pages zeroed while recycling a state into the pool.
+// RecordReset notes pages zeroed while recycling a state into the idle list.
 func (m *Metrics) RecordReset(pages int) { m.dirtyPagesReset.Add(int64(pages)) }
 
 // bucketPow2 returns the histogram slot for v under power-of-two bounds
@@ -281,7 +281,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 type Pressure struct {
 	InFlight   int64 `json:"in_flight"`   // runs currently executing
 	Started    int64 `json:"started"`     // runs ever admitted to an executor
-	PoolMisses int64 `json:"pool_misses"` // machine-state allocations (pool cold or over-subscribed)
+	PoolMisses int64 `json:"pool_misses"` // machine-state allocations (idle list empty)
 }
 
 // Pressure reads the current load signal.

@@ -222,8 +222,8 @@ func TestCacheBytesBudgetEvicts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Run once so the engine faults in a pooled state: footprint jumps
-		// from code-only kilobytes to the full machine-image estimate.
+		// Run once so the engine builds its predecoded streams: footprint
+		// grows from the code-only estimate to code plus streams.
 		if _, err := eng.Run(context.Background(), symbol.RunOptions{}); err != nil {
 			t.Fatal(err)
 		}

@@ -17,7 +17,7 @@ import (
 // (knowledge base, goal). Serving traffic repeats queries — dashboards
 // refresh, load tests hammer one goal — so the common case skips the
 // Prolog → BAM → ICI compile entirely and lands on a warm Engine whose
-// machine-state pool is already populated. Each entry compiles at most
+// predecoded streams are already built. Each entry compiles at most
 // once, under a per-entry sync.Once, so a burst of identical cold queries
 // does one compile while the rest wait for its result.
 //
@@ -28,10 +28,9 @@ import (
 // final snapshot into an accumulator that stays merged into every future
 // read (see retired).
 // Capacity is bounded twice: by entry count (the original LRU cap) and by
-// estimated resident bytes. Entry count is a poor proxy for memory — one
-// engine whose pool has faulted in a few machine states holds hundreds of
-// megabytes while a never-run engine holds kilobytes — so eviction also
-// sums Engine.Footprint over the live entries and evicts from the LRU tail
+// estimated resident bytes. Entry count is a poor proxy for memory — a
+// large program's code and predecoded streams outweigh a small one's many
+// times over — so eviction also sums Engine.Footprint over the live entries and evicts from the LRU tail
 // while the total exceeds the byte budget (always keeping at least one
 // entry: evicting the engine a request is about to use would just force an
 // immediate recompile).
@@ -194,8 +193,8 @@ func (c *engineCache) getPinned(kbName, kbSrc, goal string) (*symbol.Engine, fun
 // evictLocked trims the LRU tail while either bound is exceeded: entry
 // count past cap, or estimated resident bytes past budget (never evicting
 // the last entry on bytes alone). Footprints are re-read on every pass —
-// an engine's pool grows as runs fault states in, so the estimate is only
-// current at the moment of the check. Pinned engines are skipped; when
+// an engine's first run builds its predecoded streams, so the estimate is
+// only current at the moment of the check. Pinned engines are skipped; when
 // only pinned entries remain the bounds are temporarily exceeded and the
 // next get or unpin retries. Called with c.mu held.
 func (c *engineCache) evictLocked() {

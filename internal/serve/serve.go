@@ -75,11 +75,11 @@ type Config struct {
 	// (default 64).
 	QueryCache int
 	// CacheBudgetBytes bounds the estimated resident footprint of the
-	// compiled-query engine cache (default 2 GiB): machine-image words held
-	// by each engine's state pool plus its code and predecoded streams. The
-	// LRU evicts past the budget even when the entry count is still under
-	// QueryCache — entry count is a poor proxy for memory when one engine's
-	// pool holds multi-hundred-megabyte states.
+	// compiled-query engine cache (default 2 GiB): each engine's code and
+	// predecoded streams. Machine states are not counted: engines hold
+	// none between runs, and the process-wide idle list keeps at most
+	// GOMAXPROCS of them. The LRU evicts past the budget even when the
+	// entry count is still under QueryCache.
 	CacheBudgetBytes int64
 	// Dispatch selects the execution core every query runs under
 	// (legacy, nofuse, fused; default auto).
@@ -423,7 +423,7 @@ func (s *Server) Drain(ctx context.Context) error {
 			return errors.New("serve: drain: queries still in flight after hard cancel")
 		}
 	}
-	// Parked cursors hold engine in-flight slots and pooled states; close
+	// Parked cursors hold engine in-flight slots and machine states; close
 	// them now that no request is mid-page, or WaitIdle below never
 	// returns. (Resumes in progress were either counted by the flight
 	// tracker and have settled, or shed at the draining gate.)

@@ -40,7 +40,7 @@ type cursorSession struct {
 
 // close tears the session down: cancel the session context, unhook the
 // drain trigger, settle the stream (returning its machine state to the
-// engine pool), and give the admission slot back. Safe to call exactly
+// process-wide idle list), and give the admission slot back. Safe to call exactly
 // once per session; the table's take/closeAll claim semantics guarantee a
 // single owner.
 func (sess *cursorSession) close() {

@@ -3,6 +3,6 @@
 package symbol
 
 // raceEnabled reports whether the race detector is compiled in. Under it,
-// sync.Pool intentionally drops items at random to surface races, so
-// allocation-count assertions about pooling are not meaningful.
+// memory figures are not meaningful: the detector's shadow memory
+// multiplies the resident set.
 const raceEnabled = true

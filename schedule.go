@@ -176,12 +176,16 @@ func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
 	}
+	// A panic skips the Release: the state is dropped, not recycled.
+	st, _ := ic.Acquire()
 	r, err := vliw.Sim(s.vprog, vliw.SimOptions{
 		MaxCycles: opts.MaxCycles,
 		Layout:    opts.layout(),
 		Deadline:  opts.Deadline,
+		State:     st,
 		Events:    trace,
 	})
+	st.Release()
 	if err != nil {
 		return nil, err
 	}

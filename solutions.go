@@ -25,10 +25,10 @@ import (
 //	if err := sols.Err(); err != nil { ... }
 //
 // Between Next calls the machine is suspended at the last solution — the
-// pooled state (heap, choice-point stack, trail) stays live, and the next
+// machine state (heap, choice-point stack, trail) stays live, and the next
 // Next backtracks into the next untried alternative. Close abandons a
 // stream mid-way in O(dirty pages): the state is reset and returned to the
-// engine's pool without running the query to exhaustion.
+// process-wide idle list without running the query to exhaustion.
 //
 // The engine's metrics count the whole stream as one run: it occupies one
 // in-flight slot from Query until the stream finishes (exhaustion, error,
@@ -164,7 +164,7 @@ func (s *Solutions) Attach(ctx context.Context) {
 // Close ends the stream. If it has not already finished, the engine's
 // metrics are settled (the stream counts as succeeded if it produced at
 // least one solution, and its cumulative stats so far are recorded) and
-// the machine state is reset and returned to the pool. Close is
+// the machine state is reset and returned to the idle list. Close is
 // idempotent and returns the stream's terminal error, like Err.
 func (s *Solutions) Close() error {
 	s.mu.Lock()
@@ -183,7 +183,7 @@ func (s *Solutions) Close() error {
 
 // finish settles the stream exactly once: record the terminal metrics
 // outcome (balancing the RecordStart made by Query) and dispose of the
-// pooled state — recycled normally, dropped if a panic may have left its
+// machine state — recycled normally, dropped if a panic may have left its
 // dirty set incomplete.
 func (s *Solutions) finish(record func()) {
 	if s.finished {

@@ -32,7 +32,7 @@
 //	    symbol.WithHeapWords(64<<10),
 //	    symbol.WithTrace(256))                    // keep last 256 events
 //
-// For serving many queries, build an Engine (pooled machine state,
+// For serving many queries, build an Engine (recycled machine state,
 // engine-wide metrics):
 //
 //	eng := symbol.NewEngine(prog)
@@ -463,7 +463,10 @@ func (r *Result) String() string {
 func (p *Program) Profile() (*emu.Profile, error) {
 	p.profOnce.Do(func() {
 		defer guard(&p.profErr)
-		res, err := emu.Run(p.icp, emu.Options{MaxSteps: p.opts.MaxSteps, Profile: true})
+		// A panic skips the Release: the state is dropped, not recycled.
+		st, _ := ic.Acquire()
+		res, err := emu.Run(p.icp, emu.Options{MaxSteps: p.opts.MaxSteps, Profile: true, State: st})
+		st.Release()
 		if err != nil {
 			p.profErr = err
 			return
