@@ -23,29 +23,30 @@ import (
 	"symbol/internal/word"
 )
 
-// Fold rewrites prog in place (returning a new Program value) with
-// pointer-increment folding applied per basic block. All code addresses
-// (branch targets, stored code words, symbol tables) are remapped.
+// Fold returns a new Program with pointer-increment folding applied per
+// basic block; prog itself is left unchanged. All code addresses (branch
+// targets, stored code words, symbol tables) are remapped.
 func Fold(prog *ic.Program) *ic.Program {
 	leaders := findLeaders(prog)
 
 	var out []ic.Inst
 	remap := make([]int, len(prog.Code)+1)
 
+	// Pending increments. Only nonzero deltas are kept, so a flush walks
+	// just the registers with work to materialize, not every register the
+	// program has defined so far: that keeps the pass linear in code size.
 	delta := map[ic.Reg]int64{}
 	flushOne := func(r ic.Reg) {
 		if d := delta[r]; d != 0 {
 			out = append(out, ic.Inst{Op: ic.Add, D: r, A: r, HasImm: true, Imm: d})
-			delta[r] = 0
+			delete(delta, r)
 		}
 	}
 	flushAll := func() {
 		// Deterministic order.
-		var regs []ic.Reg
-		for r, d := range delta {
-			if d != 0 {
-				regs = append(regs, r)
-			}
+		regs := make([]ic.Reg, 0, len(delta))
+		for r := range delta {
+			regs = append(regs, r)
 		}
 		sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
 		for _, r := range regs {
@@ -62,7 +63,11 @@ func Fold(prog *ic.Program) *ic.Program {
 
 		// Foldable pointer bump: add r, r, imm.
 		if in.Op == ic.Add && in.HasImm && in.D == in.A {
-			delta[in.A] += in.Imm
+			if d := delta[in.A] + in.Imm; d != 0 {
+				delta[in.A] = d
+			} else {
+				delete(delta, in.A)
+			}
 			continue
 		}
 
@@ -88,7 +93,7 @@ func Fold(prog *ic.Program) *ic.Program {
 		}
 		// A write kills any pending delta on the destination.
 		if d := in.Def(); d != ic.None {
-			delta[d] = 0
+			delete(delta, d)
 		}
 		out = append(out, in)
 	}
