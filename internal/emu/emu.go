@@ -78,7 +78,9 @@ var ErrStepLimit = fault.ErrStepLimit
 // Options configure emulation.
 type Options struct {
 	MaxSteps int64 // abort after this many ICIs (default 4e9)
-	Profile  bool  // collect Expect/Taken
+	// Profile collects Expect/Taken. It implies the legacy reference
+	// interpreter, so the predecoded loop carries no profile counters.
+	Profile bool
 	// Layout shrinks the usable size of the memory areas below the
 	// compile-time defaults; overflow of a shrunken area raises the
 	// corresponding typed fault (catchable as resource_error(Area)).
@@ -108,13 +110,14 @@ type Options struct {
 	// for benchmarking and for pinning down a miscompare.
 	NoFuse bool
 	// Legacy forces the original non-predecoded reference interpreter, the
-	// semantic baseline the predecoded loops are verified against (implied
-	// by Trace). Kept for differential tests and baseline benchmarks.
+	// semantic baseline the predecoded loop is verified against (implied by
+	// Trace, Events and Profile). Kept for differential tests and baseline
+	// benchmarks.
 	Legacy bool
 	// Events, if non-nil, receives executor milestone events (call/fail
 	// ports, choice-point push/pop, catch/throw, faults, halt). Like Trace
-	// it implies the legacy reference interpreter, so the predecoded loops
-	// carry no event hooks and pay nothing when tracing is off. On an
+	// it implies the legacy reference interpreter, so the predecoded loop
+	// carries no event hooks and pays nothing when tracing is off. On an
 	// error return the trace still holds the events up to the fault.
 	Events *obs.Trace
 }
@@ -141,8 +144,8 @@ type Machine struct {
 	// original fault rather than a generic uncaught exception.
 	pendingFault fault.Kind
 
-	// Observability state. ctr is written by the run loops (the fast loops
-	// only touch disp and the skip fixups; the legacy loop fills cls and
+	// Observability state. ctr is written by the run loops (the fast loop
+	// only touches disp and the skip fixups; the legacy loop fills cls and
 	// the mark counters instead); start stamps segment entry for wall time.
 	ctr     counters
 	start   time.Time
@@ -177,7 +180,7 @@ const (
 // sized 256 (not exec.NumCodes) and indexed by the uint8 opcode so the
 // increment compiles without a bounds check.
 type counters struct {
-	disp [256]int64 // per-XCode dispatch counts (predecoded loops)
+	disp [256]int64 // per-XCode dispatch counts (predecoded loop)
 	// Fused second constituents skipped because the first store faulted
 	// catchably: the dispatch count over-counts the second half by these.
 	skipStAdd, skipStSt, skipStMovI int64
@@ -304,21 +307,12 @@ func (m *Machine) uncaught() error {
 	return e
 }
 
-func (m *Machine) load(addr uint64) (word.W, error) {
-	if addr >= uint64(len(m.mem)) {
-		e := m.fail(fmt.Sprintf("load out of range: %#x", addr))
-		e.Err = fault.ErrInvalidMemory
-		return 0, e
-	}
-	return m.mem[addr], nil
-}
-
 // Run interprets until Halt, an error, or the step limit. The hot path runs
 // over the program's predecoded stream (internal/exec), fused unless
-// opts.NoFuse; tracing (or opts.Legacy) selects the original reference
-// interpreter, which executes ic.Inst directly. When the result has Status 0
-// the machine is left suspended at the solution: Resume backtracks into the
-// next alternative.
+// opts.NoFuse; profiling, tracing, events (or opts.Legacy) select the
+// original reference interpreter, which executes ic.Inst directly. When the
+// result has Status 0 the machine is left suspended at the solution: Resume
+// backtracks into the next alternative.
 func (m *Machine) Run() (*Result, error) {
 	if m.phase != phaseReady {
 		return nil, fmt.Errorf("emu: Run on a machine that already ran (use Resume)")
@@ -383,10 +377,10 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		res *Result
 		err error
 	)
-	if m.opts.Trace != nil || m.opts.Legacy || m.events != nil {
+	if m.opts.Trace != nil || m.opts.Legacy || m.events != nil || m.prof != nil {
 		m.legacyMode = true
 		if resume {
-			// The predecoded loops poll on entry every segment; mirror that
+			// The predecoded loop polls on entry every segment; mirror that
 			// here so a deadline that expired while suspended aborts a
 			// legacy-mode resume at step 0 too.
 			m.pc = m.prog.FailPC
@@ -405,11 +399,7 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		if resume {
 			x = int(s.Fail)
 		}
-		if m.prof != nil {
-			res, err = m.runProfiled(s, x)
-		} else {
-			res, err = m.runFast(s, x)
-		}
+		res, err = m.runFast(s, x)
 	}
 	m.wallAcc += time.Since(m.start)
 	m.running = false
@@ -454,7 +444,7 @@ func (m *Machine) stats(steps int64, cls *[int(ic.NumClasses)]int64, cp, undo in
 	}
 }
 
-// statsFast expands the predecoded loops' per-opcode dispatch counters into
+// statsFast expands the predecoded loop's per-opcode dispatch counters into
 // the exact per-class dynamic mix in original-ICI units. Every dispatch
 // counted both constituents of a superinstruction; the skip counters undo
 // the (rare) second constituents that did not execute because the first
@@ -487,8 +477,8 @@ func (m *Machine) statsLegacy(steps int64) obs.Stats {
 }
 
 // runLegacy is the original one-ICI-at-a-time interpreter. It is the
-// semantic reference for the predecoded loops in run.go and the only loop
-// that supports Trace.
+// semantic reference for the predecoded loop in run.go and the only loop
+// that supports Profile, Trace and Events.
 func (m *Machine) runLegacy() (*Result, error) {
 	code := m.prog.Code
 	steps := m.stepsDone
@@ -500,15 +490,8 @@ func (m *Machine) runLegacy() (*Result, error) {
 			return nil, m.faultErr(fault.StepLimit)
 		}
 		if steps&(fault.CheckInterval-1) == 0 {
-			if !m.opts.Deadline.IsZero() && time.Now().After(m.opts.Deadline) {
-				return nil, m.faultErr(fault.Deadline)
-			}
-			if m.opts.Interrupt != nil {
-				select {
-				case <-m.opts.Interrupt:
-					return nil, m.faultErr(fault.Canceled)
-				default:
-				}
+			if err := m.pollCheck(m.pc); err != nil {
+				return nil, err
 			}
 		}
 		steps++
@@ -548,11 +531,11 @@ func (m *Machine) runLegacy() (*Result, error) {
 		switch in.Op {
 		case ic.Nop:
 		case ic.Ld:
-			v, err := m.load(m.regs[in.A].Val() + uint64(in.Imm))
-			if err != nil {
-				return nil, err
+			addr := m.regs[in.A].Val() + uint64(in.Imm)
+			if addr >= uint64(len(m.mem)) {
+				return nil, m.loadErr(addr)
 			}
-			m.regs[in.D] = v
+			m.regs[in.D] = m.mem[addr]
 		case ic.St:
 			addr := m.regs[in.A].Val() + uint64(in.Imm)
 			if r := in.Reg; r != ic.RegionUnknown && addr >= m.limit[r] {
@@ -566,9 +549,7 @@ func (m *Machine) runLegacy() (*Result, error) {
 				}
 			}
 			if addr >= uint64(len(m.mem)) {
-				e := m.fail(fmt.Sprintf("store out of range: %#x", addr))
-				e.Err = fault.ErrInvalidMemory
-				return nil, e
+				return nil, m.storeErr(addr)
 			}
 			m.mem[addr] = m.regs[in.B]
 			m.st.Touch(addr)
@@ -766,7 +747,7 @@ func (m *Machine) evalCmp(in *ic.Inst) bool {
 
 // The sys builtins are shared between the legacy and predecoded loops as
 // one small method per SysID (the predecoded stream has a distinct opcode
-// for each, so the legacy dispatch below is only used under Trace/Legacy).
+// for each, so the dispatch below is only used by the legacy loop).
 
 // memView is the machine's memory as an mterm.Mem. A pointer converts to an
 // interface without allocating; the slice value would be boxed per call.

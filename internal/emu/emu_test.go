@@ -269,7 +269,7 @@ func TestBrCmpEqImmWordSemantics(t *testing.T) {
 	}
 }
 
-// TestRunModesAgreeOnErrors spot-checks that the predecoded loops report
+// TestRunModesAgreeOnErrors spot-checks that the predecoded loop reports
 // the same machine errors as the legacy interpreter, including the pc and
 // instruction context embedded in the rendered message.
 func TestRunModesAgreeOnErrors(t *testing.T) {

@@ -23,8 +23,8 @@ func suspendProg() *ic.Program {
 	return p
 }
 
-// resumeModes are the three dispatch families; suspend/resume must behave
-// identically on all of them.
+// resumeModes are the three dispatch families plus profiling; suspend/resume
+// must behave identically on all of them.
 var resumeModes = []struct {
 	name string
 	set  func(*Options)
@@ -32,11 +32,26 @@ var resumeModes = []struct {
 	{"fused", func(*Options) {}},
 	{"nofuse", func(o *Options) { o.NoFuse = true }},
 	{"legacy", func(o *Options) { o.Legacy = true }},
+	{"profiled", func(o *Options) { o.Profile = true }},
+}
+
+// checkExpectSum requires a profiled run's Expect counts to sum to the
+// cumulative step count: the profile spans every segment so far.
+func checkExpectSum(t *testing.T, res *Result, want int64) {
+	t.Helper()
+	var sum int64
+	for _, n := range res.Profile.Expect {
+		sum += n
+	}
+	if sum != want {
+		t.Fatalf("profile Expect sums to %d, want %d", sum, want)
+	}
 }
 
 // TestResumeLifecycle drives the phase machine through a full
 // run → suspend → resume → exhausted cycle in every dispatch mode,
-// checking cumulative step accounting and the phase guards.
+// checking cumulative step accounting (profile included) and the phase
+// guards.
 func TestResumeLifecycle(t *testing.T) {
 	for _, mode := range resumeModes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -54,6 +69,9 @@ func TestResumeLifecycle(t *testing.T) {
 			if r1.Status != 0 || r1.Steps != 3 {
 				t.Fatalf("first segment: status %d steps %d, want 0/3", r1.Status, r1.Steps)
 			}
+			if opts.Profile {
+				checkExpectSum(t, r1, 3)
+			}
 			if !m.More() {
 				t.Fatal("machine not suspended after Halt 0 with a fail routine")
 			}
@@ -70,6 +88,9 @@ func TestResumeLifecycle(t *testing.T) {
 			}
 			if r2.Status != 1 || r2.Steps != 4 {
 				t.Fatalf("second segment: status %d steps %d, want 1/4 (cumulative)", r2.Status, r2.Steps)
+			}
+			if opts.Profile {
+				checkExpectSum(t, r2, 4)
 			}
 			if m.More() {
 				t.Fatal("machine still suspended after exhaustion")
@@ -90,7 +111,7 @@ func TestResumeLifecycle(t *testing.T) {
 
 // TestResumeDeadlineWhileSuspended: a deadline that expires while the
 // machine is parked must abort the resume at step 0, in every mode — the
-// predecoded loops poll on segment entry and the legacy path mirrors it.
+// predecoded loop polls on segment entry and the legacy path mirrors it.
 func TestResumeDeadlineWhileSuspended(t *testing.T) {
 	for _, mode := range resumeModes {
 		t.Run(mode.name, func(t *testing.T) {

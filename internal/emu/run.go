@@ -9,7 +9,7 @@ import (
 	"symbol/internal/word"
 )
 
-// This file holds the predecoded run loops. Both interpret an exec.Stream
+// This file holds the predecoded run loop. It interprets an exec.Stream
 // (plain or fused) instead of raw ic.Inst, so the per-operation work is one
 // dense-opcode dispatch with operand forms resolved at predecode time:
 //
@@ -17,8 +17,8 @@ import (
 //     trap op);
 //   - no HasImm/Cond/Sys/Region selector tests (each form is its own
 //     opcode, and RegionUnknown stores carry an unreachable limit);
-//   - no per-step Profile/Trace tests (the profiled loop is a separate
-//     copy, and tracing uses the legacy interpreter);
+//   - no per-step Profile/Trace/Events tests (all three select the legacy
+//     reference interpreter, which carries every kind of instrumentation);
 //   - no per-step deadline/interrupt poll: one poll on entry (so a
 //     pre-expired deadline or pre-cancelled run still aborts at step 0,
 //     which the differential fault tests rely on), then a countdown
@@ -29,12 +29,12 @@ import (
 //
 // Superinstructions execute their constituents in original order with
 // per-constituent step-budget accounting, so Result.Steps, the StepLimit
-// fault point, and (in the profiled loop) Expect/Taken are identical to the
-// legacy interpreter's, in original-ICI units. The one documented
-// divergence: a computed jump (JmpR) into the interior of a fused pair
-// reports "pc out of range" instead of executing from mid-pair — no code
-// path in the runtime model materializes such an address (every indirect
-// target is a marked jump target, which fusion never buries).
+// fault point and the fault pcs are identical to the legacy interpreter's,
+// in original-ICI units. The one documented divergence: a computed jump
+// (JmpR) into the interior of a fused pair reports "pc out of range"
+// instead of executing from mid-pair — no code path in the runtime model
+// materializes such an address (every indirect target is a marked jump
+// target, which fusion never buries).
 
 func (m *Machine) loadErr(addr uint64) error {
 	e := m.fail(fmt.Sprintf("load out of range: %#x", addr))
@@ -596,577 +596,6 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 		case exec.XBadPC:
 			m.pc = int(op.Imm)
 			return nil, m.fail("pc out of range")
-		default: // exec.XUnknown
-			m.pc = int(op.PC)
-			return nil, m.fail("unknown opcode")
-		}
-		if next <= x {
-			poll--
-			if poll <= 0 {
-				poll = m.pollEvery()
-				if err := m.pollCheck(int(op.PC)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		x = next
-	}
-}
-
-// runProfiled is the predecoded interpreter loop with Expect/Taken
-// collection. It is a separate specialization of runFast rather than a
-// flag inside it, so the unprofiled path carries no per-step profile test;
-// fused ops account every constituent pc, keeping the profile in
-// original-ICI units regardless of fusion.
-func (m *Machine) runProfiled(s *exec.Stream, x0 int) (*Result, error) {
-	if err := m.pollCheck(int(s.Ops[x0].PC)); err != nil {
-		return nil, err
-	}
-	ops := s.Ops
-	mem := m.mem
-	regs := m.regs
-	max := m.opts.MaxSteps
-	poll := m.pollEvery()
-	expect := m.prof.Expect
-	taken := m.prof.Taken
-	disp := &m.ctr.disp
-	steps := m.stepsDone
-	x := x0
-	for {
-		op := &ops[x]
-		if steps >= max {
-			m.pc = int(op.PC)
-			return nil, m.faultErr(fault.StepLimit)
-		}
-		if op.Code == exec.XBadPC {
-			m.pc = int(op.Imm)
-			return nil, m.fail("pc out of range")
-		}
-		steps++
-		disp[op.Code]++
-		expect[op.PC]++
-		next := x + 1
-		switch op.Code {
-		case exec.XNop:
-		case exec.XLd, exec.XLdUndo:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-		case exec.XSt:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
-				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
-				if err != nil {
-					return nil, err
-				}
-				if jump {
-					next = int(s.Throw)
-					break
-				}
-			}
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.storeErr(addr)
-			}
-			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
-
-		case exec.XAddR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()+regs[op.B].Int()))
-		case exec.XAddI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()+op.Imm))
-		case exec.XSubR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()-regs[op.B].Int()))
-		case exec.XSubI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()-op.Imm))
-		case exec.XMulR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()*regs[op.B].Int()))
-		case exec.XMulI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()*op.Imm))
-		case exec.XDivR:
-			b := regs[op.B].Int()
-			if b == 0 {
-				m.pc = int(op.PC)
-				return nil, m.faultErr(fault.ZeroDivide)
-			}
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()/b))
-		case exec.XDivI:
-			if op.Imm == 0 {
-				m.pc = int(op.PC)
-				return nil, m.faultErr(fault.ZeroDivide)
-			}
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()/op.Imm))
-		case exec.XModR:
-			b := regs[op.B].Int()
-			if b == 0 {
-				m.pc = int(op.PC)
-				return nil, m.faultErr(fault.ZeroDivide)
-			}
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()%b))
-		case exec.XModI:
-			if op.Imm == 0 {
-				m.pc = int(op.PC)
-				return nil, m.faultErr(fault.ZeroDivide)
-			}
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()%op.Imm))
-		case exec.XAndR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()&regs[op.B].Int()))
-		case exec.XAndI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()&op.Imm))
-		case exec.XOrR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()|regs[op.B].Int()))
-		case exec.XOrI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()|op.Imm))
-		case exec.XXorR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()^regs[op.B].Int()))
-		case exec.XXorI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()^op.Imm))
-		case exec.XShlR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()<<uint(regs[op.B].Int()&63)))
-		case exec.XShlI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()<<uint(op.Imm&63)))
-		case exec.XShrR:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()>>uint(regs[op.B].Int()&63)))
-		case exec.XShrI:
-			a := regs[op.A]
-			regs[op.D] = word.Make(a.Tag(), uint64(a.Int()>>uint(op.Imm&63)))
-
-		case exec.XMkTag:
-			regs[op.D] = regs[op.A].WithTag(op.Tag)
-		case exec.XGetTag:
-			regs[op.D] = word.MakeInt(int64(regs[op.A].Tag()))
-		case exec.XLea:
-			regs[op.D] = word.Make(op.Tag, uint64(regs[op.A].Int()+op.Imm))
-		case exec.XMov, exec.XMovCP:
-			regs[op.D] = regs[op.A]
-		case exec.XMovI:
-			regs[op.D] = op.W
-
-		case exec.XBrTagEq:
-			if regs[op.A].Tag() == op.Tag {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrTagNe:
-			if regs[op.A].Tag() != op.Tag {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrCmpEqR:
-			if regs[op.A] == regs[op.B] {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrCmpNeR:
-			if regs[op.A] != regs[op.B] {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrCmpEqI:
-			if regs[op.A] == op.W {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrCmpNeI:
-			if regs[op.A] != op.W {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrCmpOrdR:
-			if exec.OrdCmp(regs[op.A].Int(), regs[op.B].Int(), op.Cond) {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-		case exec.XBrCmpOrdI:
-			if exec.OrdCmp(regs[op.A].Int(), op.Imm, op.Cond) {
-				taken[op.PC]++
-				next = int(op.Target)
-			}
-
-		case exec.XJmp:
-			next = int(op.Target)
-		case exec.XJmpR:
-			t := int(regs[op.A].Val())
-			if t < 0 || t >= len(s.XOf) || s.XOf[t] < 0 {
-				m.pc = t
-				return nil, m.fail("pc out of range")
-			}
-			next = int(s.XOf[t])
-		case exec.XJsr:
-			regs[op.D] = word.Make(word.Code, uint64(op.PC+1))
-			next = int(op.Target)
-		case exec.XHalt:
-			if op.Imm == 2 {
-				m.pc = int(op.PC)
-				return nil, m.uncaught()
-			}
-			m.stepsDone = steps
-			return &Result{Status: int(op.Imm), Output: m.out.String(), Steps: steps,
-				Profile: m.prof, Stats: m.statsFast(steps)}, nil
-
-		case exec.XSysWrite:
-			m.pc = int(op.PC)
-			if err := m.sysWrite(op.A); err != nil {
-				return nil, err
-			}
-		case exec.XSysNl:
-			m.out.WriteByte('\n')
-		case exec.XSysWriteCode:
-			m.out.WriteByte(byte(regs[op.A].Int()))
-		case exec.XSysCompare:
-			m.pc = int(op.PC)
-			if err := m.sysCompare(op.A, op.B); err != nil {
-				return nil, err
-			}
-		case exec.XSysBallPut:
-			m.pc = int(op.PC)
-			if err := m.sysBallPut(op.A); err != nil {
-				return nil, err
-			}
-		case exec.XSysFault:
-			m.pc = int(op.PC)
-			jump, err := m.raise(fault.Kind(op.Imm))
-			if err != nil {
-				return nil, err
-			}
-			if jump {
-				next = int(s.Throw)
-			}
-		case exec.XSysBad:
-			m.pc = int(op.PC)
-			return nil, m.fail("unknown sys op")
-
-		case exec.XFLdBrTagEq:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2].Tag() == op.Tag {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFLdBrTagNe:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2].Tag() != op.Tag {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFLdBrCmpEqR:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2] == regs[op.A2] {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFLdBrCmpNeR:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2] != regs[op.A2] {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFGetTagBrEqI:
-			regs[op.D] = word.MakeInt(int64(regs[op.A].Tag()))
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2] == op.W {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFGetTagBrNeI:
-			regs[op.D] = word.MakeInt(int64(regs[op.A].Tag()))
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2] != op.W {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFStAdd:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
-				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
-				if err != nil {
-					return nil, err
-				}
-				if jump {
-					// The store faulted: unwind now, the bump never runs
-					// (and is not counted).
-					m.ctr.skipStAdd++
-					next = int(s.Throw)
-					break
-				}
-			}
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.storeErr(addr)
-			}
-			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			d := regs[op.D2]
-			regs[op.D2] = word.Make(d.Tag(), uint64(d.Int()+op.Imm2))
-		case exec.XFMovJmp:
-			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			next = int(op.Target)
-		case exec.XFCMovR:
-			if exec.CmpW(regs[op.A], regs[op.B], op.Cond) {
-				taken[op.PC]++
-			} else {
-				if steps >= max {
-					m.pc = int(op.PC) + 1
-					return nil, m.faultErr(fault.StepLimit)
-				}
-				steps++
-				m.ctr.cmovMoves++
-				expect[op.PC+1]++
-				regs[op.D2] = regs[op.A2]
-			}
-		case exec.XFLdLd:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			addr = regs[op.A2].Val() + uint64(op.Imm2)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC) + 1
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D2] = mem[addr]
-		case exec.XFLdMov:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
-			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			regs[op.D2] = regs[op.A2]
-		case exec.XFStSt:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
-				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
-				if err != nil {
-					return nil, err
-				}
-				if jump {
-					m.ctr.skipStSt++
-					next = int(s.Throw)
-					break
-				}
-			}
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.storeErr(addr)
-			}
-			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			addr = regs[op.A2].Val() + uint64(op.Imm2)
-			if addr >= m.limit[op.Region2] {
-				m.pc = int(op.PC) + 1
-				jump, err := m.raise(overflowKind(op.Region2))
-				if err != nil {
-					return nil, err
-				}
-				if jump {
-					next = int(s.Throw)
-					break
-				}
-			}
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC) + 1
-				return nil, m.storeErr(addr)
-			}
-			mem[addr] = regs[op.D2]
-			m.st.Touch(addr)
-		case exec.XFStMovI:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
-				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
-				if err != nil {
-					return nil, err
-				}
-				if jump {
-					m.ctr.skipStMovI++
-					next = int(s.Throw)
-					break
-				}
-			}
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.storeErr(addr)
-			}
-			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			regs[op.D2] = op.W
-		case exec.XFMovISt:
-			regs[op.D] = op.W
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			addr := regs[op.A2].Val() + uint64(op.Imm2)
-			if addr >= m.limit[op.Region2] {
-				m.pc = int(op.PC) + 1
-				jump, err := m.raise(overflowKind(op.Region2))
-				if err != nil {
-					return nil, err
-				}
-				if jump {
-					next = int(s.Throw)
-					break
-				}
-			}
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC) + 1
-				return nil, m.storeErr(addr)
-			}
-			mem[addr] = regs[op.D2]
-			m.st.Touch(addr)
-		case exec.XFMovMov:
-			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			regs[op.D2] = regs[op.A2]
-		case exec.XFMovBrTagEq:
-			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2].Tag() == op.Tag {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-		case exec.XFMovBrTagNe:
-			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			expect[op.PC+1]++
-			if regs[op.D2].Tag() != op.Tag {
-				taken[op.PC+1]++
-				next = int(op.Target)
-			}
-
 		default: // exec.XUnknown
 			m.pc = int(op.PC)
 			return nil, m.fail("unknown opcode")

@@ -14,12 +14,13 @@ import (
 // Snapshot encode/decode of the predecoded execution image. The whole
 // point of shipping the image (instead of re-running Predecode at load) is
 // the cold path, so the decoder must make the same guarantee Predecode
-// makes implicitly: every field the hot loops consume without bounds
-// checks — operand registers, branch targets, region table indices,
-// profile pcs — is proven in range before an executor ever sees the
-// stream. Validation is against the accompanying ic.Program because the
-// register file and profile arrays are sized from it; a structurally valid
-// stream that disagrees with its program is still rejected.
+// makes implicitly: every field the hot loop consumes without bounds
+// checks — operand registers, branch targets, region table indices — and
+// every original pc it reports is proven in range before an executor ever
+// sees the stream. Validation is against the accompanying ic.Program
+// because the register file is sized from it and the pcs index its code; a
+// structurally valid stream that disagrees with its program is still
+// rejected.
 
 // Per-op field-presence bits (varint mask). Op fields default to zero, so
 // presence is simply "non-zero"; this keeps the common two-operand op at
@@ -391,10 +392,12 @@ func validateStream(which string, s *Stream, maxReg ic.Reg, codeLen int) error {
 		if hasTarget(op.Code) && (op.Target < 0 || int(op.Target) >= n) {
 			return bad(x, "%s target %d outside stream", op.Code, op.Target)
 		}
-		// Profiled loops count expect[PC] (and expect[PC+1] for pairs)
-		// against arrays sized by the ICI count. Trap ops legitimately
-		// carry PC == codeLen (the fall-off-the-end pc) and are never
-		// profiled before erroring out.
+		// A decoded stream comes from outside the program, so its original
+		// pcs are checked too: the loop reports PC (PC+1 for a fused pair's
+		// second constituent) as the fault location, and Jsr writes PC+1 as
+		// the return address a later JmpR maps back through XOf. Both must
+		// name real instructions. Trap ops legitimately carry PC == codeLen
+		// (the fall-off-the-end pc).
 		switch {
 		case op.Code == XBadPC:
 			if op.PC < 0 || int(op.PC) > codeLen {
@@ -435,11 +438,11 @@ func validateStream(which string, s *Stream, maxReg ic.Reg, codeLen int) error {
 }
 
 // ValidateProgram checks the executor-safety invariants of a decoded
-// execution image against the program whose register file and profile
-// arrays it will share. Everything the unchecked hot loops index — operand
-// registers (register file is sized from p.MaxReg), branch targets, the
-// per-region limit table, profile pcs, fault-kind counters — is proven in
-// range here.
+// execution image against the program whose register file it will share.
+// Everything the unchecked hot loop indexes — operand registers (register
+// file is sized from p.MaxReg), branch targets, the per-region limit
+// table, fault-kind counters — and every original pc it reports is proven
+// in range here.
 func ValidateProgram(xp *Program, p *ic.Program) error {
 	maxReg := p.MaxReg()
 	if err := validateStream("plain", &xp.Plain, maxReg, len(p.Code)); err != nil {

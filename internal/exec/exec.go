@@ -99,9 +99,9 @@ const (
 	XSysFault
 	XSysBad // unknown SysID (matches the legacy "unknown sys op" error)
 
-	// Superinstructions. Each fuses two ICIs; Width is 2 and the profiled
-	// loops account both constituent pcs (PC and PC+1). Second-constituent
-	// operands live in D2/A2/Imm2.
+	// Superinstructions. Each fuses two ICIs; Width is 2 and the executor
+	// accounts both constituents (pcs PC and PC+1) in steps, budgets and
+	// faults. Second-constituent operands live in D2/A2/Imm2.
 	XFLdBrTagEq  // D = mem[A+Imm]; if tag(regs[D2]) == Tag goto Target
 	XFLdBrTagNe  // D = mem[A+Imm]; if tag(regs[D2]) != Tag goto Target
 	XFLdBrCmpEqR // D = mem[A+Imm]; if regs[D2] == regs[A2] goto Target
@@ -235,7 +235,7 @@ func hasTarget(c XCode) bool {
 
 // Op is one predecoded operation. Field use by opcode follows the comments
 // on the XCode constants; PC is the original pc of the (first) constituent,
-// used for return-address generation, profiling and error context.
+// used for return-address generation and error context.
 type Op struct {
 	Code    XCode
 	Width   uint8 // static ICI count: 1, or 2 for superinstructions

@@ -39,7 +39,7 @@ import (
 // Legality: the caller guarantees the second constituent's pc is not a jump
 // target (see jumpTargets), so control can only enter the pair at its head.
 // Within a pair the constituents execute in original order with original
-// semantics, so memory faults, profiling and step accounting can be
+// semantics, so memory faults, fault pcs and step accounting can be
 // replayed exactly (the executors handle the split points explicitly).
 
 // fusePair attempts to fuse the adjacent ICIs a (at pc) and b (at pc+1)

@@ -397,7 +397,8 @@ func Decode(data []byte) (*Image, error) {
 		r = wire.NewReader(p)
 		n := r.Len(1)
 		// The profile indexes by original pc; a size disagreement with the
-		// code array would crash profiled runs, so it is structural here.
+		// code array would crash the scheduler and the profile analyses,
+		// so it is structural here.
 		if r.Err() == nil && n != len(img.Prog.Code) {
 			return nil, &FormatError{Section: "profile", Err: fmt.Errorf("%d entries for %d ICIs", n, len(img.Prog.Code))}
 		}

@@ -108,7 +108,7 @@ type pendingWrite struct {
 //
 // The per-op execute step dispatches on the predecoded operation slots
 // (Program.XWords): the same dense opcodes as the sequential emulator's
-// predecoded loops, with imm-vs-reg variants and sys escapes resolved at
+// predecoded loop, with imm-vs-reg variants and sys escapes resolved at
 // decode time instead of per issue.
 func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 	if opts.MaxCycles == 0 {

@@ -28,13 +28,15 @@ func classCounts(s *Stats) [ic.NumClasses]int64 {
 }
 
 // TestStatsParity checks the central accounting claim of the observability
-// layer: the op-class breakdown the predecoded loops derive from per-opcode
+// layer: the op-class breakdown the predecoded loop derives from per-opcode
 // dispatch counters equals, exactly, the breakdown the profile analysis
 // (stats.ComputeMix over Expect) derives for the same execution — on every
-// benchmark program, in every execution mode (fused, unfused, legacy,
-// profiled). It also pins the counters the classes are built from:
-// class-sum == Steps, and choice-point/trail-undo counts agree across
-// modes.
+// benchmark program, in every execution mode (fused, nofuse, legacy).
+// Profiles come from the legacy reference interpreter, so for the fused and
+// nofuse modes the oracle is an independent cross-check: per-pc Expect
+// counts against dispatch counts expanded through exec.ClassOf/Class2Of.
+// It also pins the counters the classes are built from: class-sum == Steps,
+// and choice-point/trail-undo counts agree across modes.
 func TestStatsParity(t *testing.T) {
 	for _, b := range benchprog.All() {
 		if b.Heavy && testing.Short() {
@@ -48,26 +50,21 @@ func TestStatsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Oracle: a profiled run's Expect vector, classified statically.
-			profRes, err := emu.Run(prog.icp, emu.Options{Profile: true})
+			// Oracle: the reference interpreter's Expect vector, classified
+			// statically. The reference interpreter also counts choice
+			// points and trail undos from instruction marks directly; the
+			// predecoded loop counts them from the remapped opcodes. They
+			// must agree.
+			ref, err := emu.Run(prog.icp, emu.Options{Profile: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := stats.ComputeMix(prog.icp, profRes.Profile)
-
-			// The reference interpreter counts choice points and trail undos
-			// from instruction marks directly; the predecoded loops count
-			// them from the remapped opcodes. They must agree.
-			ref, err := emu.Run(prog.icp, emu.Options{Legacy: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracle := stats.ComputeMix(prog.icp, ref.Profile)
 
 			modes := map[string]emu.Options{
-				"fused":    {},
-				"nofuse":   {NoFuse: true},
-				"legacy":   {Legacy: true},
-				"profiled": {Profile: true},
+				"fused":  {},
+				"nofuse": {NoFuse: true},
+				"legacy": {Legacy: true},
 			}
 			for name, opts := range modes {
 				res, err := emu.Run(prog.icp, opts)
