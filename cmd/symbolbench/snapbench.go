@@ -19,7 +19,7 @@ import (
 // The -snapbench mode quantifies what the binary snapshot format buys: how
 // much bigger a snapshot is than the source it replaces (raw and gzipped,
 // with a per-section breakdown), and how much faster a cold start gets when
-// the compiler pipeline is replaced by a single validated read. The numbers
+// the compiler pipeline is replaced by a validated read and a predecode. The numbers
 // land in a committed JSON baseline (BENCH_snapshot.json) that CI gates on:
 // the median cold-start speedup across the corpus must clear an absolute
 // floor, and no benchmark's speedup may fall more than a tolerance below
@@ -111,8 +111,8 @@ func benchSnapshots(reps int, jsonPath, comparePath string, tolerance, speedupFl
 
 		// Both paths are timed to the same finish line: an executable
 		// predecoded stream. The compile path builds it lazily on first
-		// run, so exec.Of is forced here; the snapshot path decodes it as
-		// part of the load.
+		// run, so exec.Of is forced here; the snapshot path predecodes as
+		// part of the load, so exec.Of only returns the cached streams.
 		compiles, err := timedMS(reps, func() error {
 			p, err := symbol.Load(ctx, src)
 			if err == nil {

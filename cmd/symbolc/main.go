@@ -9,9 +9,9 @@
 //
 // With -vliw the program is profiled (one sequential run) and compacted for
 // an n-unit machine before listing. With -o the compiled program (ICI code,
-// atom table, predecoded execution streams, embedded source) is written as
-// a snapshot; add -profile to run the profiler once and embed the execution
-// profile so scheduling consumers skip the profiling run too.
+// atom table, embedded source) is written as a snapshot; add -profile to
+// run the profiler once and embed the execution profile so scheduling
+// consumers skip the profiling run too.
 package main
 
 import (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"symbol/internal/fault"
 	"symbol/internal/term"
 	"symbol/internal/wire"
 	"symbol/internal/word"
@@ -278,9 +279,11 @@ func DecodeProgram(r *wire.Reader) (*Program, error) {
 // ValidateProgram checks the executor-safety invariants of a decoded
 // program. The emulator dereferences operand registers without bounds
 // checks (the register file is sized from MaxReg), indexes its per-region
-// limit array directly by the Region annotation, and jumps to Target
-// without range checks — so everything those paths touch is proven in
-// range here, once, at load time.
+// limit array directly by the Region annotation, jumps to Target without
+// range checks, and raises the fault kind a SysFault names — so
+// everything those paths touch is proven in range here, once, at load
+// time. The predecoded streams exec.Predecode builds from a validated
+// program inherit these guarantees, so they need no check of their own.
 func ValidateProgram(p *Program) error {
 	n := len(p.Code)
 	if n == 0 {
@@ -379,6 +382,12 @@ func ValidateProgram(p *Program) error {
 			case SysCompare:
 				if !regOK(in.A) || !regOK(in.B) {
 					return bad(pc, "sys compare regs a=%d b=%d", in.A, in.B)
+				}
+			case SysFault:
+				// Both executors raise fault.Kind(Imm); None or a kind past
+				// the enumeration would surface as an untyped fault.
+				if in.Imm < 1 || in.Imm >= int64(fault.NumKinds) {
+					return bad(pc, "fault kind %d out of range", in.Imm)
 				}
 			}
 		}

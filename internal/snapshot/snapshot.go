@@ -1,9 +1,10 @@
 // Package snapshot defines the versioned binary container for compiled
 // SYMBOL programs: the ic.Program (code, atom table, symbol maps), the
-// predecoded exec image, the compile options and embedded source, and an
-// optional execution profile — everything a process needs to start
-// answering queries without running the Prolog → BAM → ICI → predecode
-// pipeline.
+// compile options and embedded source, and an optional execution profile —
+// everything a process needs to start answering queries without running
+// the Prolog → BAM → ICI pipeline. The predecoded exec streams are not
+// shipped: Decode rebuilds them with exec.Predecode from the validated
+// program, which costs less than decoding and validating them.
 //
 // # Container layout
 //
@@ -28,7 +29,7 @@
 // Decoding is total over arbitrary bytes: every failure is a typed error
 // (ErrNotSnapshot, *FormatError, *VersionError, *ChecksumError), never a
 // panic, and a successfully decoded image has passed the full executor-
-// safety validation in internal/ic and internal/exec.
+// safety validation in internal/ic.
 package snapshot
 
 import (
@@ -50,12 +51,14 @@ const Version uint32 = 1
 const Magic = "SYMSNAP\x1a"
 
 // Section IDs. Meta and source are frozen (see the package comment);
-// program, exec and profile may change shape with Version.
+// program and profile may change shape with Version.
 const (
 	SecMeta    uint32 = 1 // compile kind + options + goal + undefined list (frozen)
 	SecSource  uint32 = 2 // original Prolog source text (frozen)
 	SecProgram uint32 = 3 // ic.Program: code, atoms, entries, symbol maps
-	SecExec    uint32 = 4 // predecoded exec.Program: plain + fused streams
+	// SecExec is reserved. Older snapshots carry the predecoded streams
+	// there; Decode skips the section unread, so they still load.
+	SecExec    uint32 = 4
 	SecProfile uint32 = 5 // optional emulation profile (expect/taken counts)
 )
 
@@ -138,7 +141,9 @@ type Image struct {
 	Undefined []string // undefined-predicate warnings from the compile
 
 	Prog *ic.Program
-	Exec *exec.Program // nil when the section is absent (re-predecode)
+	// Exec is derived data: Encode ignores it and Decode rebuilds it with
+	// exec.Predecode from the validated Prog.
+	Exec *exec.Program
 
 	// ProfExpect/ProfTaken are the embedded execution profile (both sized
 	// exactly len(Prog.Code)), or nil when no profile was embedded.
@@ -213,14 +218,6 @@ func Encode(img *Image) []byte {
 		{SecMeta, meta.Bytes()},
 		{SecSource, []byte(img.Source)},
 		{SecProgram, prog.Bytes()},
-	}
-	if img.Exec != nil {
-		var xw wire.Writer
-		exec.AppendProgram(&xw, img.Exec)
-		secs = append(secs, struct {
-			id      uint32
-			payload []byte
-		}{SecExec, xw.Bytes()})
 	}
 	if img.ProfExpect != nil {
 		var pw wire.Writer
@@ -318,9 +315,11 @@ func decodeMeta(p []byte, img *Image) error {
 	return r.Err()
 }
 
-// Decode parses, verifies and validates a snapshot. The returned image is
-// safe to execute. On version skew it returns a *VersionError that carries
-// the recovered source and compile options when their sections are intact.
+// Decode parses, verifies and validates a snapshot, then predecodes the
+// program (a SecExec section, if present, is skipped unread). The returned
+// image is safe to execute. On version skew it returns a *VersionError
+// that carries the recovered source and compile options when their
+// sections are intact.
 func Decode(data []byte) (*Image, error) {
 	secs, vErr, err := parseTable(data)
 	if err != nil {
@@ -376,20 +375,6 @@ func Decode(data []byte) (*Image, error) {
 		return nil, &FormatError{Section: "program", Err: errors.New("trailing bytes")}
 	}
 
-	if p, err = payload(data, secs, SecExec); err != nil {
-		return nil, err
-	}
-	if p != nil {
-		r = wire.NewReader(p)
-		img.Exec, err = exec.DecodeProgram(r, img.Prog)
-		if err != nil {
-			return nil, &FormatError{Section: "exec", Err: err}
-		}
-		if r.Remaining() != 0 {
-			return nil, &FormatError{Section: "exec", Err: errors.New("trailing bytes")}
-		}
-	}
-
 	if p, err = payload(data, secs, SecProfile); err != nil {
 		return nil, err
 	}
@@ -415,6 +400,7 @@ func Decode(data []byte) (*Image, error) {
 			return nil, &FormatError{Section: "profile", Err: err}
 		}
 	}
+	img.Exec = exec.Predecode(img.Prog)
 	return img, nil
 }
 

@@ -1,13 +1,20 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"os"
 	"reflect"
 	"testing"
 
+	"symbol/internal/benchprog"
+	"symbol/internal/emu"
 	"symbol/internal/exec"
+	"symbol/internal/fault"
+	"symbol/internal/faultsim"
 	"symbol/internal/ic"
 	"symbol/internal/term"
 	"symbol/internal/word"
@@ -45,7 +52,6 @@ func tinyImage() *Image {
 		MaxSteps:   123,
 		Undefined:  []string{"missing/1"},
 		Prog:       p,
-		Exec:       exec.Of(p),
 		ProfExpect: []int64{1, 1, 1, 1, 1},
 		ProfTaken:  []int64{0, 0, 1, 0, 0},
 	}
@@ -79,14 +85,15 @@ func TestRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.Prog.Entries, img.Prog.Entries) {
 		t.Errorf("symbol maps mismatch")
 	}
-	if !reflect.DeepEqual(got.Exec.Plain, img.Exec.Plain) {
+	want := exec.Predecode(img.Prog)
+	if !reflect.DeepEqual(got.Exec.Plain, want.Plain) {
 		t.Errorf("plain stream mismatch")
 	}
-	if !reflect.DeepEqual(got.Exec.Fused, img.Exec.Fused) {
+	if !reflect.DeepEqual(got.Exec.Fused, want.Fused) {
 		t.Errorf("fused stream mismatch")
 	}
-	if !reflect.DeepEqual(got.Exec.Stats, img.Exec.Stats) {
-		t.Errorf("stats = %+v, want %+v", got.Exec.Stats, img.Exec.Stats)
+	if !reflect.DeepEqual(got.Exec.Stats, want.Stats) {
+		t.Errorf("stats = %+v, want %+v", got.Exec.Stats, want.Stats)
 	}
 	if !reflect.DeepEqual(got.ProfExpect, img.ProfExpect) || !reflect.DeepEqual(got.ProfTaken, img.ProfTaken) {
 		t.Errorf("profile mismatch")
@@ -226,7 +233,7 @@ func TestReadInfo(t *testing.T) {
 	if info.Version != Version {
 		t.Errorf("version = %d, want %d", info.Version, Version)
 	}
-	want := []string{"meta", "source", "program", "exec", "profile"}
+	want := []string{"meta", "source", "program", "profile"}
 	if len(info.Sections) != len(want) {
 		t.Fatalf("sections = %v, want %v", info.Sections, want)
 	}
@@ -260,10 +267,156 @@ func TestSniff(t *testing.T) {
 	}
 }
 
+// faultImage is tinyImage with its syscall replaced by a SysFault that
+// raises kind k.
+func faultImage(k int64) *Image {
+	img := tinyImage()
+	img.Prog.Code[3] = ic.Inst{Op: ic.SysOp, Sys: ic.SysFault, A: ic.None, B: ic.None, Imm: k}
+	return img
+}
+
+// TestFaultKindValidated: a SysFault naming fault.None or a kind past the
+// enumeration must not decode. Both executors raise fault.Kind(Imm), and
+// such a kind would reach the caller as an error whose *fault.Fault is nil,
+// which fault.KindOf dereferences.
+func TestFaultKindValidated(t *testing.T) {
+	if _, err := Decode(Encode(faultImage(int64(fault.HeapOverflow)))); err != nil {
+		t.Fatalf("valid fault kind rejected: %v", err)
+	}
+	for _, k := range []int64{int64(fault.None), 99} {
+		t.Run(fmt.Sprintf("kind%d", k), func(t *testing.T) {
+			_, err := Decode(Encode(faultImage(k)))
+			var fe *FormatError
+			if !errors.As(err, &fe) || fe.Section != "program" {
+				t.Fatalf("Decode = %v, want a program *FormatError", err)
+			}
+		})
+	}
+}
+
+// installExec hands the image's predecoded streams to its program, as
+// symbol.Load does, so runs execute the streams Decode built.
+func installExec(img *Image) *ic.Program {
+	img.Prog.ExecCache(func() any { return img.Exec })
+	return img.Prog
+}
+
+// paths are the executor configurations a decoded program must run on.
+var paths = []struct {
+	name string
+	opts emu.Options
+}{
+	{"fused", emu.Options{}},
+	{"plain", emu.Options{NoFuse: true}},
+	{"legacy", emu.Options{Legacy: true}},
+}
+
+// sameRuns runs got and want on every path in st and requires the same
+// status, output and step count.
+func sameRuns(t *testing.T, got, want *ic.Program, st *ic.State) {
+	t.Helper()
+	for _, p := range paths {
+		opts := p.opts
+		opts.State = st
+		g, gErr := emu.Run(got, opts)
+		st.Reset()
+		w, wErr := emu.Run(want, opts)
+		st.Reset()
+		if gErr != nil || wErr != nil {
+			t.Fatalf("%s: run errors %v / %v", p.name, gErr, wErr)
+		}
+		if g.Status != w.Status || g.Output != w.Output || g.Steps != w.Steps {
+			t.Errorf("%s: got status %d steps %d output %q, want status %d steps %d output %q",
+				p.name, g.Status, g.Steps, g.Output, w.Status, w.Steps, w.Output)
+		}
+	}
+}
+
+// TestDecodeSkipsExecSection: snapshots written before Encode stopped
+// shipping the predecoded streams carry them as section 4. Decode must
+// skip that section unread (the payload here is bytes no stream codec ever
+// accepted) and rebuild the streams from the program, and the result must
+// run like the compile it was taken from.
+func TestDecodeSkipsExecSection(t *testing.T) {
+	b, err := benchprog.Get("qsort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := faultsim.Compile(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := Encode(&Image{Kind: KindProgram, Source: b.Source, Arith: true, Prog: u.IC})
+	secs, _, err := parseTable(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type sec = struct {
+		id      uint32
+		payload []byte
+	}
+	var withExec []sec
+	for _, s := range secs {
+		withExec = append(withExec, sec{s.id, data[s.off : s.off+s.ln]})
+		if s.id == SecProgram {
+			withExec = append(withExec, sec{SecExec, bytes.Repeat([]byte{0xff}, 64)})
+		}
+	}
+	old := appendSections(Version, withExec)
+	info, err := ReadInfo(old)
+	if err != nil || len(info.Sections) != 4 || info.Sections[3].Name != "exec" {
+		t.Fatalf("ReadInfo = %+v, %v; want an exec section last", info, err)
+	}
+	img, err := Decode(old)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	want := exec.Predecode(img.Prog)
+	if !reflect.DeepEqual(img.Exec.Plain, want.Plain) || !reflect.DeepEqual(img.Exec.Fused, want.Fused) {
+		t.Error("Decode's streams differ from Predecode of the decoded program")
+	}
+	sameRuns(t, installExec(img), u.IC, ic.NewState())
+}
+
+// TestDecodeStreamShippingSnapshot decodes testdata/exec-section.sym, a
+// snapshot of a small program written by the encoder that still shipped
+// the predecoded streams (4637 of its 7377 bytes). It must load and run
+// like a fresh compile of its embedded source.
+func TestDecodeStreamShippingSnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/exec-section.sym")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := ReadInfo(data)
+	if err != nil {
+		t.Fatalf("ReadInfo: %v", err)
+	}
+	var names []string
+	for _, s := range info.Sections {
+		names = append(names, s.Name)
+	}
+	if !reflect.DeepEqual(names, []string{"meta", "source", "program", "exec"}) {
+		t.Fatalf("sections = %v", names)
+	}
+	img, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	u, err := faultsim.Compile(img.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRuns(t, installExec(img), u.IC, ic.NewState())
+}
+
 // FuzzSnapshotLoad feeds arbitrary bytes to Decode, both raw and with
 // checksums repaired (so the fuzzer can reach the structural validators
 // behind the CRC layer). The contract under test: typed errors, never a
-// panic, on any input.
+// panic, on any input. Every image Decode accepts is then run on the
+// fused, plain and legacy paths under a small step budget: boot trusts
+// what Decode validated and predecoded, so running it must not panic
+// either, and every error a run returns must be one fault.KindOf
+// classifies.
 func FuzzSnapshotLoad(f *testing.F) {
 	valid := Encode(tinyImage())
 	f.Add(valid)
@@ -273,10 +426,31 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(skew)
 	f.Add([]byte(Magic))
 	f.Add([]byte("main :- true."))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := Decode(data); err != nil && !typedSnapshotError(err) {
-			t.Fatalf("untyped error %T: %v", err, err)
+	f.Add(Encode(faultImage(int64(fault.None))))
+	f.Add(Encode(faultImage(99)))
+	st := ic.NewState()
+	load := func(t *testing.T, data []byte) {
+		img, err := Decode(data)
+		if err != nil {
+			if !typedSnapshotError(err) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
 		}
+		prog := installExec(img)
+		for _, p := range paths {
+			opts := p.opts
+			opts.State = st
+			opts.MaxSteps = 64
+			_, err := emu.Run(prog, opts)
+			st.Reset()
+			if err != nil && fault.KindOf(err) >= fault.NumKinds {
+				t.Fatalf("%s: unclassified run error: %v", p.name, err)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		load(t, data)
 		// Second pass with repaired checksums, when the container is
 		// well-formed enough to carry a table.
 		if len(data) >= headerLen+4 && Sniff(data) {
@@ -296,9 +470,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 				}
 				if ok {
 					fixCRCs(fixed)
-					if _, err := Decode(fixed); err != nil && !typedSnapshotError(err) {
-						t.Fatalf("untyped error after CRC fix %T: %v", err, err)
-					}
+					load(t, fixed)
 				}
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 
 	"symbol/internal/emu"
-	"symbol/internal/exec"
 	"symbol/internal/parse"
 	"symbol/internal/snapshot"
 )
@@ -53,9 +52,9 @@ func WithGoal(goal string) LoadOption {
 // WithSnapshotCache makes Load keep a content-addressed snapshot cache for
 // source inputs under dir (created if missing). The key hashes the source,
 // the goal, the compile options and the snapshot format version, so any
-// input change misses cleanly. A hit skips parse/compile/predecode
-// entirely; corrupt or stale cache files are ignored and overwritten. The
-// cache is best-effort: I/O failures fall back to a normal compile.
+// input change misses cleanly. A hit skips parsing and compiling; corrupt
+// or stale cache files are ignored and overwritten. The cache is
+// best-effort: I/O failures fall back to a normal compile.
 func WithSnapshotCache(dir string) LoadOption {
 	return func(c *loadConfig) { c.cacheDir = dir }
 }
@@ -77,8 +76,8 @@ func WithoutRecompileFallback() LoadOption {
 //   - Source input is parsed and compiled, honoring WithCompileOptions and
 //     WithGoal; WithSnapshotCache adds a content-addressed snapshot cache
 //     so repeated loads of the same source skip compilation.
-//   - Snapshot input is decoded and validated in one pass — no parsing, no
-//     compilation, no predecoding — and fails with typed errors:
+//   - Snapshot input is decoded, validated and predecoded — no parsing,
+//     no compilation — and fails with typed errors:
 //     *SnapshotFormatError or *SnapshotChecksumError for corruption,
 //     *SnapshotVersionError for a format-version mismatch. Version skew
 //     falls back to recompiling the snapshot's embedded source unless
@@ -140,9 +139,7 @@ func programFromImage(img *snapshot.Image) *Program {
 		src:       img.Source,
 		goal:      img.Goal,
 	}
-	if img.Exec != nil {
-		p.icp.ExecCache(func() any { return img.Exec })
-	}
+	p.icp.ExecCache(func() any { return img.Exec })
 	if img.ProfExpect != nil {
 		p.profOnce.Do(func() {
 			p.profile = &emu.Profile{Expect: img.ProfExpect, Taken: img.ProfTaken}
@@ -232,11 +229,11 @@ func writeCacheFile(dir, path string, data []byte) {
 }
 
 // Snapshot serializes the program as a versioned binary snapshot: the ICI
-// code and atom table, the predecoded execution streams, the source text
-// (fuel for the version-skew recompile fallback) and — if Profile has
-// already been computed — the execution profile, so a scheduling consumer
-// of the snapshot skips the profiling run as well. Load accepts the result
-// directly; symbolserve preloads directories of them at boot.
+// code and atom table, the source text (fuel for the version-skew
+// recompile fallback) and — if Profile has already been computed — the
+// execution profile, so a scheduling consumer of the snapshot skips the
+// profiling run as well. Load accepts the result directly; symbolserve
+// preloads directories of them at boot.
 func (p *Program) Snapshot() []byte {
 	img := &snapshot.Image{
 		Kind:      snapshot.KindProgram,
@@ -246,7 +243,6 @@ func (p *Program) Snapshot() []byte {
 		MaxSteps:  p.opts.MaxSteps,
 		Undefined: p.undefined,
 		Prog:      p.icp,
-		Exec:      exec.Of(p.icp),
 	}
 	if p.goal != "" {
 		img.Kind = snapshot.KindQuery

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +12,9 @@ import (
 
 	"symbol"
 	"symbol/internal/benchprog"
+	"symbol/internal/fault"
+	"symbol/internal/ic"
+	"symbol/internal/snapshot"
 )
 
 // loadCorpus returns the benchmark programs used by the snapshot tests
@@ -212,7 +216,7 @@ func TestSnapshotEmbeddedProfile(t *testing.T) {
 	for _, s := range info.Sections {
 		names = append(names, s.Name)
 	}
-	if !reflect.DeepEqual(names, []string{"meta", "source", "program", "exec", "profile"}) {
+	if !reflect.DeepEqual(names, []string{"meta", "source", "program", "profile"}) {
 		t.Fatalf("sections = %v", names)
 	}
 	loaded, err := symbol.Load(ctx, full)
@@ -273,6 +277,41 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 		if !errors.As(err, &fe) && !errors.As(err, &ce) && !errors.As(err, &ve) {
 			t.Fatalf("byte %d: error %T %v is not a typed snapshot error", i, err, err)
 		}
+	}
+}
+
+// TestSnapshotBadFaultKind: a snapshot whose SysFault instruction names
+// fault.None or a kind past the enumeration must fail to load with a typed
+// format error. Run, such a program would return an error whose fault is
+// nil, and classifying it with fault.KindOf would panic.
+func TestSnapshotBadFaultKind(t *testing.T) {
+	ctx := context.Background()
+	orig, err := symbol.Load(ctx, []byte("main :- X is 1 // 0, write(X)."))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for _, k := range []int64{int64(fault.None), 99} {
+		t.Run(fmt.Sprintf("kind%d", k), func(t *testing.T) {
+			img, err := snapshot.Decode(orig.Snapshot())
+			if err != nil {
+				t.Fatalf("Decode: %v", err)
+			}
+			n := 0
+			for i := range img.Prog.Code {
+				if in := &img.Prog.Code[i]; in.Op == ic.SysOp && in.Sys == ic.SysFault {
+					in.Imm = k
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatal("program has no SysFault instruction")
+			}
+			_, err = symbol.Load(ctx, snapshot.Encode(img), symbol.WithoutRecompileFallback())
+			var fe *symbol.SnapshotFormatError
+			if !errors.As(err, &fe) {
+				t.Fatalf("Load = %v, want *SnapshotFormatError", err)
+			}
+		})
 	}
 }
 
