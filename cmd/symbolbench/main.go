@@ -99,79 +99,9 @@ func main() {
 		return
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	sel := func(names ...string) bool {
-		if all {
-			return true
-		}
-		for _, n := range names {
-			if want[n] {
-				return true
-			}
-		}
-		return false
-	}
-
-	r := experiments.NewRunner()
-	suite := experiments.SuiteNames()
-	die := func(err error) {
+	if err := experiments.Write(os.Stdout, strings.Split(*exp, ",")); err != nil {
 		fmt.Fprintln(os.Stderr, "symbolbench:", err)
 		os.Exit(1)
-	}
-
-	if sel("fig2") {
-		f2, err := r.Figure2Mix(experiments.Table2Names())
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(f2.Render())
-	}
-	if sel("fig3") {
-		f3, err := r.Figure3Amdahl(experiments.Table2Names())
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(f3.Render())
-	}
-	if sel("table1") {
-		t1, err := r.Table1Compaction(suite)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(t1.Render())
-	}
-	if sel("table2", "fig4") {
-		t2, err := r.Table2Branches(experiments.Table2Names())
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(t2.Render())
-	}
-	if sel("table3", "fig6") {
-		t3, err := r.Table3Sweep(suite, []int{1, 2, 3, 4, 5})
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(t3.Render())
-		fmt.Println(t3.RenderFigure6())
-	}
-	if sel("table4") {
-		t4, err := r.Table4Absolute(suite)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(t4.Render())
-	}
-	if sel("table5") {
-		t5, err := r.Table5Relative(suite)
-		if err != nil {
-			die(err)
-		}
-		fmt.Println(t5.Render())
 	}
 }
 
