@@ -192,22 +192,9 @@ type counters struct {
 	faultsRaised, faultsCaught int64
 }
 
-// overflowKind maps an overflowed memory region to its fault kind.
-func overflowKind(r ic.Region) fault.Kind {
-	switch r {
-	case ic.RegionHeap:
-		return fault.HeapOverflow
-	case ic.RegionEnv:
-		return fault.EnvOverflow
-	case ic.RegionCP:
-		return fault.CPOverflow
-	case ic.RegionTrail:
-		return fault.TrailOverflow
-	case ic.RegionPDL:
-		return fault.PDLOverflow
-	}
-	return fault.InvalidMemory
-}
+// overflowKind is the fault of a store past region r; the name keeps
+// runFast's store cases as they are.
+func overflowKind(r ic.Region) fault.Kind { return r.Overflow() }
 
 // New prepares a machine for prog. When opts.State is set the machine runs
 // in that (zeroed) state; otherwise it allocates a private one.
@@ -424,24 +411,21 @@ func (m *Machine) wallNow() time.Duration {
 // instrumentation produced, the machine adds fault counters, wall time and
 // the page-granular memory high-water marks.
 func (m *Machine) stats(steps int64, cls *[int(ic.NumClasses)]int64, cp, undo int64) obs.Stats {
-	return obs.Stats{
+	s := obs.Stats{
 		Steps:        steps,
 		MemOps:       cls[ic.ClassMemory],
 		ALUOps:       cls[ic.ClassALU],
 		MoveOps:      cls[ic.ClassMove],
 		ControlOps:   cls[ic.ClassControl],
 		SysOps:       cls[ic.ClassSys],
-		HeapHigh:     int64(m.st.MaxDirty(ic.HeapBase, ic.HeapBase+ic.HeapSize) - ic.HeapBase),
-		EnvHigh:      int64(m.st.MaxDirty(ic.EnvBase, ic.EnvBase+ic.EnvSize) - ic.EnvBase),
-		CPHigh:       int64(m.st.MaxDirty(ic.CPBase, ic.CPBase+ic.CPSize) - ic.CPBase),
-		TrailHigh:    int64(m.st.MaxDirty(ic.TrailBase, ic.TrailBase+ic.TrailSize) - ic.TrailBase),
-		PDLHigh:      int64(m.st.MaxDirty(ic.PDLBase, ic.PDLBase+ic.PDLSize) - ic.PDLBase),
 		ChoicePoints: cp,
 		TrailUndos:   undo,
 		FaultsRaised: m.ctr.faultsRaised,
 		FaultsCaught: m.ctr.faultsCaught,
 		Wall:         m.wallNow(),
 	}
+	m.st.HighWater(&s)
+	return s
 }
 
 // statsFast expands the predecoded loop's per-opcode dispatch counters into
@@ -539,7 +523,7 @@ func (m *Machine) runLegacy() (*Result, error) {
 		case ic.St:
 			addr := m.regs[in.A].Val() + uint64(in.Imm)
 			if r := in.Reg; r != ic.RegionUnknown && addr >= m.limit[r] {
-				jump, err := m.raise(overflowKind(r))
+				jump, err := m.raise(r.Overflow())
 				if err != nil {
 					return nil, err
 				}
@@ -554,43 +538,15 @@ func (m *Machine) runLegacy() (*Result, error) {
 			m.mem[addr] = m.regs[in.B]
 			m.st.Touch(addr)
 		case ic.Add, ic.Sub, ic.Mul, ic.Div, ic.Mod, ic.And, ic.Or, ic.Xor, ic.Shl, ic.Shr:
-			a := m.regs[in.A].Int()
-			var b int64
-			if in.HasImm {
-				b = in.Imm
-			} else {
+			b := in.Imm
+			if !in.HasImm {
 				b = m.regs[in.B].Int()
 			}
-			var r int64
-			switch in.Op {
-			case ic.Add:
-				r = a + b
-			case ic.Sub:
-				r = a - b
-			case ic.Mul:
-				r = a * b
-			case ic.Div:
-				if b == 0 {
-					return nil, m.faultErr(fault.ZeroDivide)
-				}
-				r = a / b
-			case ic.Mod:
-				if b == 0 {
-					return nil, m.faultErr(fault.ZeroDivide)
-				}
-				r = a % b
-			case ic.And:
-				r = a & b
-			case ic.Or:
-				r = a | b
-			case ic.Xor:
-				r = a ^ b
-			case ic.Shl:
-				r = a << uint(b&63)
-			case ic.Shr:
-				r = a >> uint(b&63)
+			r, ok := exec.ALU(in.Op, m.regs[in.A], b)
+			if !ok {
+				return nil, m.faultErr(fault.ZeroDivide)
 			}
-			m.regs[in.D] = word.Make(m.regs[in.A].Tag(), uint64(r))
+			m.regs[in.D] = r
 		case ic.MkTag:
 			m.regs[in.D] = m.regs[in.A].WithTag(in.Tag)
 		case ic.Lea:
@@ -601,19 +557,8 @@ func (m *Machine) runLegacy() (*Result, error) {
 			m.regs[in.D] = m.regs[in.A]
 		case ic.MovI:
 			m.regs[in.D] = in.Word
-		case ic.BrTag:
-			taken := m.regs[in.A].Tag() == in.Tag
-			if in.Cond == ic.CondNe {
-				taken = !taken
-			}
-			if taken {
-				next = in.Target
-				if m.prof != nil {
-					m.prof.Taken[m.pc]++
-				}
-			}
-		case ic.BrCmp:
-			if m.evalCmp(in) {
+		case ic.BrTag, ic.BrCmp:
+			if exec.Taken(in, m.regs) {
 				next = in.Target
 				if m.prof != nil {
 					m.prof.Taken[m.pc]++
@@ -704,47 +649,6 @@ func (m *Machine) emitEvents(steps int64, in *ic.Inst, next int) {
 	}
 }
 
-// evalCmp evaluates a BrCmp condition. Eq/Ne compare full tagged words;
-// ordered conditions compare signed value fields.
-func (m *Machine) evalCmp(in *ic.Inst) bool {
-	a := m.regs[in.A]
-	switch in.Cond {
-	case ic.CondEq, ic.CondNe:
-		var b word.W
-		if in.HasImm {
-			// Full-word immediates live in Word, already tagged; Imm is
-			// only for the ordered value comparisons below. (Reinterpreting
-			// Imm's raw bits as a tagged word here compared against garbage
-			// whenever an emitter stored a plain integer in it.)
-			b = in.Word
-		} else {
-			b = m.regs[in.B]
-		}
-		if in.Cond == ic.CondEq {
-			return a == b
-		}
-		return a != b
-	default:
-		av := a.Int()
-		var bv int64
-		if in.HasImm {
-			bv = in.Imm
-		} else {
-			bv = m.regs[in.B].Int()
-		}
-		switch in.Cond {
-		case ic.CondLt:
-			return av < bv
-		case ic.CondLe:
-			return av <= bv
-		case ic.CondGt:
-			return av > bv
-		default:
-			return av >= bv
-		}
-	}
-}
-
 // The sys builtins are shared between the legacy and predecoded loops as
 // one small method per SysID (the predecoded stream has a distinct opcode
 // for each, so the dispatch below is only used by the legacy loop).
@@ -800,9 +704,4 @@ func (m *Machine) sys(in *ic.Inst) error {
 		return m.fail("unknown sys op")
 	}
 	return nil
-}
-
-// FormatTerm renders a runtime term the way write/1 does.
-func (m *Machine) FormatTerm(w word.W) (string, error) {
-	return mterm.FormatOps(m.memView(), m.prog.Atoms, w)
 }

@@ -435,6 +435,70 @@ func Decode1(in *ic.Inst, pc int) Op {
 	return op
 }
 
+// ALUOp returns the operation of an ALU opcode (XAddR through XShrI) and
+// whether its second operand is a register (the R form) rather than Imm.
+// The opcodes come in register/immediate pairs in ic.Add..ic.Shr order.
+func (c XCode) ALUOp() (op ic.Op, reg bool) {
+	i := c - XAddR
+	return ic.Add + ic.Op(i/2), i%2 == 0
+}
+
+// ALU is the meaning of the ALU ICIs (ic.Add through ic.Shr): it combines
+// a's signed value field with b (a register's value field, or the
+// immediate) and keeps a's tag. Shift counts are taken mod 64. ok is false
+// only for Div and Mod by zero, where the result is 0; the sequential
+// machines fault with ZeroDivide there and the VLIW simulator dismisses it.
+func ALU(op ic.Op, a word.W, b int64) (r word.W, ok bool) {
+	x := a.Int()
+	switch op {
+	case ic.Add:
+		x += b
+	case ic.Sub:
+		x -= b
+	case ic.Mul:
+		x *= b
+	case ic.Div:
+		if b == 0 {
+			return 0, false
+		}
+		x /= b
+	case ic.Mod:
+		if b == 0 {
+			return 0, false
+		}
+		x %= b
+	case ic.And:
+		x &= b
+	case ic.Or:
+		x |= b
+	case ic.Xor:
+		x ^= b
+	case ic.Shl:
+		x <<= uint(b & 63)
+	default: // ic.Shr
+		x >>= uint(b & 63)
+	}
+	return word.Make(a.Tag(), uint64(x)), true
+}
+
+// Taken is the meaning of the conditional branch ICIs (ic.BrTag and
+// ic.BrCmp) given the register file: whether the branch is taken. BrTag
+// tests A's tag, and every condition except Ne means Eq (as in Decode1).
+// BrCmp compares A with B, or with the immediate: the full tagged word in
+// Word for Eq/Ne, the signed value in Imm for the ordered conditions.
+func Taken(in *ic.Inst, regs []word.W) bool {
+	a := regs[in.A]
+	switch {
+	case in.Op == ic.BrTag:
+		return (a.Tag() == in.Tag) != (in.Cond == ic.CondNe)
+	case !in.HasImm:
+		return CmpW(a, regs[in.B], in.Cond)
+	case in.Cond == ic.CondEq || in.Cond == ic.CondNe:
+		return CmpW(a, in.Word, in.Cond)
+	}
+	return OrdCmp(a.Int(), in.Imm, in.Cond)
+}
+
 // OrdCmp compares signed value fields under an ordered BrCmp condition.
 func OrdCmp(a, b int64, c ic.Cond) bool {
 	switch c {

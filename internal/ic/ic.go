@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"symbol/internal/fault"
 	"symbol/internal/term"
 	"symbol/internal/word"
 )
@@ -189,6 +190,24 @@ const (
 var regionNames = []string{"?", "heap", "env", "cp", "trail", "pdl", "ball"}
 
 func (r Region) String() string { return regionNames[r] }
+
+// Overflow is the fault raised by a store that runs past the region's
+// configured end.
+func (r Region) Overflow() fault.Kind {
+	switch r {
+	case RegionHeap:
+		return fault.HeapOverflow
+	case RegionEnv:
+		return fault.EnvOverflow
+	case RegionCP:
+		return fault.CPOverflow
+	case RegionTrail:
+		return fault.TrailOverflow
+	case RegionPDL:
+		return fault.PDLOverflow
+	}
+	return fault.InvalidMemory
+}
 
 // Mark is an optional semantic annotation placed by the code generator on
 // the single ICI that commits a Prolog-level machine event the observability

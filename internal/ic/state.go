@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 
+	"symbol/internal/obs"
 	"symbol/internal/word"
 )
 
@@ -134,6 +135,17 @@ func (s *State) MaxDirty(lo, hi uint64) uint64 {
 		}
 	}
 	return top
+}
+
+// HighWater sets the per-area memory high-water marks of out (heap, env,
+// choice-point, trail and PDL words above each area's base) from the
+// dirty set, so they are page-granular.
+func (s *State) HighWater(out *obs.Stats) {
+	out.HeapHigh = int64(s.MaxDirty(HeapBase, HeapBase+HeapSize) - HeapBase)
+	out.EnvHigh = int64(s.MaxDirty(EnvBase, EnvBase+EnvSize) - EnvBase)
+	out.CPHigh = int64(s.MaxDirty(CPBase, CPBase+CPSize) - CPBase)
+	out.TrailHigh = int64(s.MaxDirty(TrailBase, TrailBase+TrailSize) - TrailBase)
+	out.PDLHigh = int64(s.MaxDirty(PDLBase, PDLBase+PDLSize) - PDLBase)
 }
 
 // Reset restores the all-zero state: it zeroes exactly the dirtied memory

@@ -76,23 +76,6 @@ func (e *SimError) Unwrap() error { return e.Err }
 // exhausted.
 var ErrCycleLimit = fault.ErrCycleLimit
 
-// overflowKind maps an overflowed memory region to its fault kind.
-func overflowKind(r ic.Region) fault.Kind {
-	switch r {
-	case ic.RegionHeap:
-		return fault.HeapOverflow
-	case ic.RegionEnv:
-		return fault.EnvOverflow
-	case ic.RegionCP:
-		return fault.CPOverflow
-	case ic.RegionTrail:
-		return fault.TrailOverflow
-	case ic.RegionPDL:
-		return fault.PDLOverflow
-	}
-	return fault.InvalidMemory
-}
-
 type pendingWrite struct {
 	reg ic.Reg
 	val word.W
@@ -104,7 +87,11 @@ type pendingWrite struct {
 // visible after the producer latency (1 cycle for ALU and moves, the
 // configured memory latency for loads). The simulator verifies the static
 // schedule at run time: reading a register whose producer is still in
-// flight is an error, as a real VLIW has no interlocks.
+// flight is an error, as a real VLIW has no interlocks. Every slot's
+// operands are read when the word issues, so the check covers the whole
+// word at once, including branches a higher-priority branch overrides and
+// operations after a mid-word fault; it is skipped while no register is in
+// flight.
 //
 // The per-op execute step dispatches on the predecoded operation slots
 // (Program.XWords): the same dense opcodes as the sequential emulator's
@@ -123,6 +110,7 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 	ready := st.Ready(nregs)
 	mem := st.Mem()
 	xwords := p.XWords()
+	reads := p.reads
 	var out strings.Builder
 
 	res := &SimResult{}
@@ -135,6 +123,9 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 	var cycle int64
 	pcW := p.Entry
 	var writes []pendingWrite
+	// inFlight is the latest ready cycle written: once the clock reaches
+	// it every register is readable and the latency check has nothing to do.
+	var inFlight int64
 
 	fail := func(w int, format string, args ...interface{}) *SimError {
 		return &SimError{WordIdx: w, Cycle: cycle, Reason: fmt.Sprintf(format, args...)}
@@ -182,13 +173,6 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 		return faultErr(w, k)
 	}
 
-	read := func(wi int, r ic.Reg) (word.W, error) {
-		if ready[r] > cycle {
-			return 0, fail(wi, "latency violation: register %d ready at %d", r, ready[r])
-		}
-		return regs[r], nil
-	}
-
 	for {
 		if cycle >= opts.MaxCycles {
 			return nil, faultErr(pcW, fault.CycleLimit)
@@ -216,6 +200,13 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 			fmt.Fprintf(opts.Trace, "  b=%x tr=%x h=%x e=%x\n",
 				regs[ic.RegB].Val(), regs[ic.RegTR].Val(), regs[ic.RegH].Val(), regs[ic.RegE].Val())
 		}
+		if inFlight > cycle {
+			for _, r := range reads[pcW] {
+				if ready[r] > cycle {
+					return nil, fail(pcW, "latency violation: register %d ready at %d", r, ready[r])
+				}
+			}
+		}
 		res.Words++
 		writes = writes[:0]
 		nextW := pcW + 1
@@ -232,11 +223,7 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 			switch op.Code {
 			case exec.XNop:
 			case exec.XLd, exec.XLdUndo:
-				base, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				addr := base.Val() + uint64(op.Imm)
+				addr := regs[op.A].Val() + uint64(op.Imm)
 				var v word.W
 				if addr < uint64(len(mem)) {
 					v = mem[addr]
@@ -245,17 +232,9 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 				// as on machines with non-faulting loads.
 				writes = append(writes, pendingWrite{op.D, v, p.Config.MemLatency})
 			case exec.XSt:
-				base, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				v, err := read(pcW, op.B)
-				if err != nil {
-					return nil, err
-				}
-				addr := base.Val() + uint64(op.Imm)
+				addr := regs[op.A].Val() + uint64(op.Imm)
 				if addr >= limit[op.Region] {
-					if err := raise(pcW, op.PC, overflowKind(op.Region)); err != nil {
+					if err := raise(pcW, op.PC, op.Region.Overflow()); err != nil {
 						return nil, err
 					}
 					// Imprecise mid-word fault: the word's pending register
@@ -274,294 +253,97 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 					e.Err = fault.ErrInvalidMemory
 					return nil, e
 				}
-				mem[addr] = v
+				mem[addr] = regs[op.B]
 				st.Touch(addr)
 
-			case exec.XAddR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
+			case exec.XAddR, exec.XAddI, exec.XSubR, exec.XSubI, exec.XMulR, exec.XMulI,
+				exec.XDivR, exec.XDivI, exec.XModR, exec.XModI, exec.XAndR, exec.XAndI,
+				exec.XOrR, exec.XOrI, exec.XXorR, exec.XXorI, exec.XShlR, exec.XShlI,
+				exec.XShrR, exec.XShrI:
+				aop, reg := op.Code.ALUOp()
+				a, b := regs[op.A], op.Imm
+				if reg {
+					b = regs[op.B].Int()
 				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()+bv.Int())), 1})
-			case exec.XAddI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
+				v, ok := exec.ALU(aop, a, b)
+				if !ok {
+					// Division never traps: a speculated divide hoisted
+					// above its guard may see a zero divisor, so it
+					// dismisses to 0 (like speculative loads). The
+					// architectural zero-divide check is compiled code
+					// (bam.RaiseFault → SysFault).
+					v = word.Make(a.Tag(), 0)
 				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()+op.Imm)), 1})
-			case exec.XSubR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()-bv.Int())), 1})
-			case exec.XSubI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()-op.Imm)), 1})
-			case exec.XMulR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()*bv.Int())), 1})
-			case exec.XMulI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()*op.Imm)), 1})
-			case exec.XDivR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				// Division never traps: a speculated divide hoisted above
-				// its guard may see a zero divisor, so it dismisses to 0
-				// (like speculative loads). The architectural zero-divide
-				// check is compiled code (bam.RaiseFault → SysFault).
-				var r int64
-				if b := bv.Int(); b != 0 {
-					r = av.Int() / b
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(r)), 1})
-			case exec.XDivI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				var r int64
-				if op.Imm != 0 {
-					r = av.Int() / op.Imm
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(r)), 1})
-			case exec.XModR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				var r int64
-				if b := bv.Int(); b != 0 {
-					r = av.Int() % b
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(r)), 1})
-			case exec.XModI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				var r int64
-				if op.Imm != 0 {
-					r = av.Int() % op.Imm
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(r)), 1})
-			case exec.XAndR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()&bv.Int())), 1})
-			case exec.XAndI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()&op.Imm)), 1})
-			case exec.XOrR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()|bv.Int())), 1})
-			case exec.XOrI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()|op.Imm)), 1})
-			case exec.XXorR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()^bv.Int())), 1})
-			case exec.XXorI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()^op.Imm)), 1})
-			case exec.XShlR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()<<uint(bv.Int()&63))), 1})
-			case exec.XShlI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()<<uint(op.Imm&63))), 1})
-			case exec.XShrR:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()>>uint(bv.Int()&63))), 1})
-			case exec.XShrI:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(av.Tag(), uint64(av.Int()>>uint(op.Imm&63))), 1})
-
+				writes = append(writes, pendingWrite{op.D, v, 1})
 			case exec.XMkTag:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, av.WithTag(op.Tag), 1})
+				writes = append(writes, pendingWrite{op.D, regs[op.A].WithTag(op.Tag), 1})
 			case exec.XLea:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.Make(op.Tag, uint64(av.Int()+op.Imm)), 1})
+				writes = append(writes, pendingWrite{op.D, word.Make(op.Tag, uint64(regs[op.A].Int()+op.Imm)), 1})
 			case exec.XGetTag:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, word.MakeInt(int64(av.Tag())), 1})
+				writes = append(writes, pendingWrite{op.D, word.MakeInt(int64(regs[op.A].Tag())), 1})
 			case exec.XMov, exec.XMovCP:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				writes = append(writes, pendingWrite{op.D, av, 1})
+				writes = append(writes, pendingWrite{op.D, regs[op.A], 1})
 				if events != nil && op.Code == exec.XMovCP {
-					events.Add(obs.Event{Step: res.Ops, PC: op.PC, Kind: obs.EvChoicePush, Arg: int64(av.Val())})
+					events.Add(obs.Event{Step: res.Ops, PC: op.PC, Kind: obs.EvChoicePush, Arg: int64(regs[op.A].Val())})
 				}
 			case exec.XMovI:
 				writes = append(writes, pendingWrite{op.D, op.W, 1})
 
+			// Branches: the first taken one in slot order wins; later
+			// branches in the word are overridden.
 			case exec.XBrTagEq:
-				if branched {
-					continue // a higher-priority branch already resolved
-				}
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				if av.Tag() == op.Tag {
+				if !branched && regs[op.A].Tag() == op.Tag {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrTagNe:
-				if branched {
-					continue
-				}
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				if av.Tag() != op.Tag {
+				if !branched && regs[op.A].Tag() != op.Tag {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrCmpEqR:
-				if branched {
-					continue
-				}
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				if av == bv {
+				if !branched && regs[op.A] == regs[op.B] {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrCmpNeR:
-				if branched {
-					continue
-				}
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				if av != bv {
+				if !branched && regs[op.A] != regs[op.B] {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrCmpEqI:
-				if branched {
-					continue
-				}
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				if av == op.W {
+				if !branched && regs[op.A] == op.W {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrCmpNeI:
-				if branched {
-					continue
-				}
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				if av != op.W {
+				if !branched && regs[op.A] != op.W {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrCmpOrdR:
-				if branched {
-					continue
-				}
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				if exec.OrdCmp(av.Int(), bv.Int(), op.Cond) {
+				if !branched && exec.OrdCmp(regs[op.A].Int(), regs[op.B].Int(), op.Cond) {
 					branched = true
 					nextW = int(op.Target)
 				}
 			case exec.XBrCmpOrdI:
-				if branched {
-					continue
-				}
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				if exec.OrdCmp(av.Int(), op.Imm, op.Cond) {
+				if !branched && exec.OrdCmp(regs[op.A].Int(), op.Imm, op.Cond) {
 					branched = true
 					nextW = int(op.Target)
 				}
 
 			case exec.XJmp:
-				if branched {
-					continue
+				if !branched {
+					branched = true
+					nextW = int(op.Target)
 				}
-				branched = true
-				nextW = int(op.Target)
 			case exec.XJmpR:
 				if branched {
 					continue
 				}
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				tw, ok := p.WordOf[int(av.Val())]
+				tw, ok := p.WordOf[int(regs[op.A].Val())]
 				if !ok {
-					return nil, fail(pcW, "indirect jump to unaddressable pc %d", av.Val())
+					return nil, fail(pcW, "indirect jump to unaddressable pc %d", regs[op.A].Val())
 				}
 				branched = true
 				nextW = tw
@@ -582,11 +364,7 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 				}
 
 			case exec.XSysWrite:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				s, err := mterm.FormatOps(mterm.SliceMem(mem), p.IC.Atoms, av)
+				s, err := mterm.FormatOps(mterm.SliceMem(mem), p.IC.Atoms, regs[op.A])
 				if err != nil {
 					return nil, err
 				}
@@ -594,29 +372,17 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 			case exec.XSysNl:
 				out.WriteByte('\n')
 			case exec.XSysWriteCode:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
-				out.WriteByte(byte(av.Int()))
+				out.WriteByte(byte(regs[op.A].Int()))
 			case exec.XSysCompare:
-				av, bv, err := read2(read, pcW, op)
-				if err != nil {
-					return nil, err
-				}
-				c, err := mterm.Compare(mterm.SliceMem(mem), p.IC.Atoms, av, bv)
+				c, err := mterm.Compare(mterm.SliceMem(mem), p.IC.Atoms, regs[op.A], regs[op.B])
 				if err != nil {
 					return nil, err
 				}
 				writes = append(writes, pendingWrite{ic.RegRV, word.MakeInt(int64(c)), 1})
 			case exec.XSysBallPut:
-				av, err := read(pcW, op.A)
-				if err != nil {
-					return nil, err
-				}
 				// Touch before the error check: a failed copy may still
 				// have written part of the ball area.
-				err = mterm.BallPut(mem, av)
+				err := mterm.BallPut(mem, regs[op.A])
 				st.TouchRange(ic.BallBase, ic.BallBase+ic.BallSize)
 				if err != nil {
 					return nil, fail(pcW, "%v", err)
@@ -644,7 +410,9 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 		// End of word: apply writes with their latencies.
 		for _, pw := range writes {
 			regs[pw.reg] = pw.val
-			ready[pw.reg] = cycle + int64(pw.lat)
+			t := cycle + int64(pw.lat)
+			ready[pw.reg] = t
+			inFlight = max(inFlight, t)
 		}
 		cycle++
 		if halted {
@@ -694,7 +462,7 @@ func buildStats(res *SimResult, st *ic.State, disp *[256]int64, raised, caught i
 			cls[exec.ClassOf[c]] += n
 		}
 	}
-	return obs.Stats{
+	s := obs.Stats{
 		Steps:        res.Ops,
 		Cycles:       res.Cycles,
 		MemOps:       cls[ic.ClassMemory],
@@ -702,28 +470,12 @@ func buildStats(res *SimResult, st *ic.State, disp *[256]int64, raised, caught i
 		MoveOps:      cls[ic.ClassMove],
 		ControlOps:   cls[ic.ClassControl],
 		SysOps:       cls[ic.ClassSys],
-		HeapHigh:     int64(st.MaxDirty(ic.HeapBase, ic.HeapBase+ic.HeapSize) - ic.HeapBase),
-		EnvHigh:      int64(st.MaxDirty(ic.EnvBase, ic.EnvBase+ic.EnvSize) - ic.EnvBase),
-		CPHigh:       int64(st.MaxDirty(ic.CPBase, ic.CPBase+ic.CPSize) - ic.CPBase),
-		TrailHigh:    int64(st.MaxDirty(ic.TrailBase, ic.TrailBase+ic.TrailSize) - ic.TrailBase),
-		PDLHigh:      int64(st.MaxDirty(ic.PDLBase, ic.PDLBase+ic.PDLSize) - ic.PDLBase),
 		ChoicePoints: disp[exec.XMovCP],
 		TrailUndos:   disp[exec.XLdUndo],
 		FaultsRaised: raised,
 		FaultsCaught: caught,
 		Wall:         time.Since(start),
 	}
-}
-
-// read2 reads an op's two register operands under the latency check.
-func read2(read func(int, ic.Reg) (word.W, error), wi int, op *exec.Op) (word.W, word.W, error) {
-	av, err := read(wi, op.A)
-	if err != nil {
-		return 0, 0, err
-	}
-	bv, err := read(wi, op.B)
-	if err != nil {
-		return 0, 0, err
-	}
-	return av, bv, nil
+	st.HighWater(&s)
+	return s
 }

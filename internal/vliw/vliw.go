@@ -9,6 +9,7 @@ package vliw
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -45,6 +46,10 @@ type Program struct {
 
 	xwOnce sync.Once
 	xwords [][]exec.Op
+	// reads holds, per word, the distinct registers its operations read
+	// (ic.Inst.Uses, in slot order): what Sim checks against the
+	// producers' latencies when the word issues. Built with xwords.
+	reads [][]ic.Reg
 }
 
 // XWords returns the predecoded operation slots, one exec.Op per vliw.Op
@@ -54,17 +59,30 @@ type Program struct {
 // once and cached, so repeated simulations of a pooled program do not
 // re-decode. Words must not be mutated after the first call.
 func (p *Program) XWords() [][]exec.Op {
+	p.decode()
+	return p.xwords
+}
+
+func (p *Program) decode() {
 	p.xwOnce.Do(func() {
 		p.xwords = make([][]exec.Op, len(p.Words))
+		p.reads = make([][]ic.Reg, len(p.Words))
+		var buf [4]ic.Reg
 		for wi, w := range p.Words {
 			xw := make([]exec.Op, len(w))
+			var rs []ic.Reg
 			for i := range w {
 				xw[i] = exec.Decode1(&w[i].Inst, w[i].PC)
+				for _, r := range w[i].Inst.Uses(buf[:0]) {
+					if !slices.Contains(rs, r) {
+						rs = append(rs, r)
+					}
+				}
 			}
 			p.xwords[wi] = xw
+			p.reads[wi] = rs
 		}
 	})
-	return p.xwords
 }
 
 // MaxReg returns the highest register number named anywhere in the

@@ -96,6 +96,20 @@ func TestLatencyViolationDetected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "latency violation") {
 		t.Fatalf("expected latency violation, got %v", err)
 	}
+
+	// A machine without interlocks reads every slot's operands at issue,
+	// so a lower-priority branch that a taken one overrides is checked too.
+	p = mk([]Word{
+		{{Inst: ic.Inst{Op: ic.MovI, D: t1, Word: word.MakeRef(ic.HeapBase)}}},
+		{{Inst: ic.Inst{Op: ic.Ld, D: t0, A: t1}}},
+		{{Inst: ic.Inst{Op: ic.Jmp, Target: 3}},
+			{Inst: ic.Inst{Op: ic.BrTag, A: t0, Tag: word.Ref, Target: 3}}},
+		{{Inst: ic.Inst{Op: ic.Halt}}},
+	}, 0)
+	_, err = Sim(p, SimOptions{})
+	if err == nil || !strings.Contains(err.Error(), "latency violation: register") {
+		t.Fatalf("overridden branch: expected latency violation, got %v", err)
+	}
 }
 
 func TestMultiwayBranchPriority(t *testing.T) {
@@ -113,6 +127,23 @@ func TestMultiwayBranchPriority(t *testing.T) {
 	}
 	if r.Status != 0 {
 		t.Error("first branch in slot order must win")
+	}
+
+	// A taken branch overrides later branches only: a non-branch op after
+	// it in the same word still executes.
+	p = mk([]Word{
+		{{Inst: ic.Inst{Op: ic.Jmp, Target: 1}},
+			{Inst: ic.Inst{Op: ic.MovI, D: t0, Word: word.MakeInt(9)}}},
+		{{Inst: ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondEq, HasImm: true, Word: word.MakeInt(9), Target: 2}},
+			{Inst: ic.Inst{Op: ic.Halt, Imm: 1}}},
+		{{Inst: ic.Inst{Op: ic.Halt, Imm: 0}}},
+	}, 0)
+	r, err = Sim(p, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != 0 {
+		t.Error("an op after the taken branch in the same word must execute")
 	}
 }
 
