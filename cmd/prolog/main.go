@@ -7,6 +7,7 @@
 //	prolog program.pl            # interactive: type queries, 'halt.' quits
 //	prolog -q 'app(X,Y,[1,2]).' program.pl
 //	prolog -all -q 'app(X,Y,[1,2]).' program.pl
+//	prolog -q 'main.' program.sym  # a program snapshot (symbolc -o)
 //
 // Queries may be written with or without the '?-' prefix. The first
 // solution is printed by default; -all prints every solution via a
@@ -22,6 +23,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -67,19 +69,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	var program []term.Term
-	for _, f := range flag.Args() {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "prolog:", err)
-			os.Exit(1)
-		}
-		clauses, err := parse.All(string(data))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "prolog: %s: %v\n", f, err)
-			os.Exit(1)
-		}
-		program = append(program, clauses...)
+	program, err := consult(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "prolog:", err)
+		os.Exit(1)
 	}
 
 	if *query != "" {
@@ -109,6 +102,40 @@ func main() {
 			fmt.Println("error:", err)
 		}
 	}
+}
+
+// consult reads the program files. Each is Prolog source or a program
+// snapshot (symbolc -o, Program.Snapshot); a snapshot contributes the
+// source embedded in it, since every query is compiled together with the
+// program's clauses.
+func consult(paths []string) ([]term.Term, error) {
+	var program []term.Term
+	for _, f := range paths {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		src := string(data)
+		if symbol.IsSnapshot(data) {
+			p, err := symbol.Load(context.Background(), data)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", f, err)
+			}
+			if p.Goal() != "" {
+				return nil, fmt.Errorf("%s: a query snapshot has its goal built in; consult a program snapshot or source", f)
+			}
+			if p.Source() == "" {
+				return nil, fmt.Errorf("%s: program snapshot has no embedded source to consult", f)
+			}
+			src = p.Source()
+		}
+		clauses, err := parse.All(src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f, err)
+		}
+		program = append(program, clauses...)
+	}
+	return program, nil
 }
 
 // ask compiles program + query into a synthetic main/0 that prints the

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // ErrTruncated reports input that ended inside a value.
@@ -98,9 +97,6 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining reports how many bytes have not been consumed yet.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
-
-// Offset reports the current read position (for error context).
-func (r *Reader) Offset() int { return r.off }
 
 // fail latches err (first one wins) and returns it. It also parks the
 // cursor at end-of-input, so the inlined fast paths — which only test
@@ -277,7 +273,3 @@ func (r *Reader) Expect(cond bool) {
 		r.fail(ErrMalformed)
 	}
 }
-
-// VarintLen reports the encoded size of an unsigned varint (for
-// pre-sizing estimates in the bench tooling).
-func VarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
