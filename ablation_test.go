@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"testing"
 
 	"symbol/internal/benchprog"
@@ -11,11 +12,8 @@ import (
 
 func TestAblationRegionDisambiguation(t *testing.T) {
 	src := benchMust(t, "qsort")
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := prog.Run()
+	prog := mustLoad(t, src)
+	seq, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +23,7 @@ func TestAblationRegionDisambiguation(t *testing.T) {
 
 	var cycles [2]int64
 	for i, conf := range []MachineConfig{base, oracle} {
-		sched, err := prog.Schedule(conf, ScheduleOptions{})
+		sched, err := prog.ScheduleWith(conf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,18 +45,15 @@ func TestAblationRegionDisambiguation(t *testing.T) {
 
 func TestAblationTailDuplication(t *testing.T) {
 	src := benchMust(t, "serialise")
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := prog.Run()
+	prog := mustLoad(t, src)
+	seq, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lens [2]float64
 	var cycles [2]int64
 	for i, opts := range []ScheduleOptions{{}, {NoTailDuplication: true}} {
-		sched, err := prog.Schedule(DefaultMachine(3), opts)
+		sched, err := prog.ScheduleWith(DefaultMachine(3), WithScheduleOptions(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,19 +82,13 @@ func TestAblationArithChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := CompileWith(b.Source, Options{ArithChecks: true})
+	checked := mustLoad(t, b.Source, WithCompileOptions(Options{ArithChecks: true}))
+	unchecked := mustLoad(t, b.Source, WithCompileOptions(Options{ArithChecks: false}))
+	r1, err := checked.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unchecked, err := CompileWith(b.Source, Options{ArithChecks: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := checked.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := unchecked.Run()
+	r2, err := unchecked.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +105,13 @@ func TestAblationTraceThreshold(t *testing.T) {
 	// Raising the probability threshold shortens traces but must keep
 	// correctness.
 	src := benchMust(t, "queens_8")
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := prog.Run()
+	prog := mustLoad(t, src)
+	seq, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, max := range []int{1, 2, 4} {
-		sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{MaxTraceBlocks: max})
+		sched, err := prog.ScheduleWith(DefaultMachine(3), WithMaxTraceBlocks(max))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +129,8 @@ func TestAblationSplitFormats(t *testing.T) {
 	// The prototype's two instruction formats (§5.1) reduce parallelism
 	// but never change semantics.
 	src := benchMust(t, "serialise")
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := prog.Run()
+	prog := mustLoad(t, src)
+	seq, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +139,7 @@ func TestAblationSplitFormats(t *testing.T) {
 	split.SplitFormats = true
 	var cycles [2]int64
 	for i, conf := range []MachineConfig{unified, split} {
-		sched, err := prog.Schedule(conf, ScheduleOptions{})
+		sched, err := prog.ScheduleWith(conf)
 		if err != nil {
 			t.Fatal(err)
 		}

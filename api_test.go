@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -12,11 +13,8 @@ main :- len([a,b,c,d], N), write(N), nl.
 `
 
 func TestSeqCyclesConsistency(t *testing.T) {
-	prog, err := Compile(apiSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prog.Run()
+	prog := mustLoad(t, apiSrc)
+	res, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +34,7 @@ func TestSeqCyclesConsistency(t *testing.T) {
 }
 
 func TestAnalyzeFields(t *testing.T) {
-	prog, err := Compile(apiSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, apiSrc)
 	a, err := prog.Analyze()
 	if err != nil {
 		t.Fatal(err)
@@ -66,11 +61,8 @@ func TestAnalyzeFields(t *testing.T) {
 }
 
 func TestScheduledAccessors(t *testing.T) {
-	prog, err := Compile(apiSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := prog.Schedule(DefaultMachine(2), ScheduleOptions{})
+	prog := mustLoad(t, apiSrc)
+	sched, err := prog.ScheduleWith(DefaultMachine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +104,8 @@ func TestMachineConstructors(t *testing.T) {
 	if BAMMachine().Units != 1 || BAMMachine().BranchBubble != 0 {
 		t.Error("BAMMachine")
 	}
-	prog, _ := Compile(apiSrc)
-	if _, err := prog.Schedule(MachineConfig{}, ScheduleOptions{}); err == nil {
+	prog := mustLoad(t, apiSrc)
+	if _, err := prog.ScheduleWith(MachineConfig{}); err == nil {
 		t.Error("zero config must be rejected")
 	}
 }
@@ -128,14 +120,11 @@ func TestSpeedupHelper(t *testing.T) {
 }
 
 func TestOptionsMaxSteps(t *testing.T) {
-	prog, err := CompileWith(`
+	prog := mustLoad(t, `
 loop :- loop.
 main :- loop.
-`, Options{ArithChecks: true, MaxSteps: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prog.Run(); err == nil {
+`, WithCompileOptions(Options{ArithChecks: true, MaxSteps: 1000}))
+	if _, err := prog.Run(context.Background(), RunOptions{}); err == nil {
 		t.Error("step limit must abort the infinite loop")
 	}
 }

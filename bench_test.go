@@ -175,21 +175,18 @@ func BenchmarkCompileQsort(b *testing.B) {
 	src := mustSource(b, "qsort")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := symbol.Compile(src); err != nil {
+		if _, err := symbol.Load(context.Background(), []byte(src)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkEmulateQsort(b *testing.B) {
-	prog, err := symbol.Compile(mustSource(b, "qsort"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := mustLoad(b, mustSource(b, "qsort"))
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		res, err := prog.Run()
+		res, err := prog.Run(context.Background(), symbol.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,27 +196,21 @@ func BenchmarkEmulateQsort(b *testing.B) {
 }
 
 func BenchmarkScheduleQsort(b *testing.B) {
-	prog, err := symbol.Compile(mustSource(b, "qsort"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := mustLoad(b, mustSource(b, "qsort"))
 	if _, err := prog.Profile(); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.Schedule(symbol.DefaultMachine(3), symbol.ScheduleOptions{}); err != nil {
+		if _, err := prog.ScheduleWith(symbol.DefaultMachine(3)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSimulateQsort(b *testing.B) {
-	prog, err := symbol.Compile(mustSource(b, "qsort"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched, err := prog.Schedule(symbol.DefaultMachine(3), symbol.ScheduleOptions{})
+	prog := mustLoad(b, mustSource(b, "qsort"))
+	sched, err := prog.ScheduleWith(symbol.DefaultMachine(3))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -239,10 +230,7 @@ func BenchmarkSimulateQsort(b *testing.B) {
 // into a pooled engine for the streaming benchmarks.
 func streamEngine(b *testing.B, bench, goal string) *symbol.Engine {
 	b.Helper()
-	prog, err := symbol.CompileQuery(mustSource(b, bench), goal)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := mustLoad(b, mustSource(b, bench), symbol.WithGoal(goal))
 	return symbol.NewEngine(prog)
 }
 
@@ -256,7 +244,7 @@ func BenchmarkStreamQueensAll(b *testing.B) {
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		sols, err := eng.QueryContext(ctx)
+		sols, err := eng.Query(ctx, symbol.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +273,7 @@ func BenchmarkStreamQueensFirst(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sols, err := eng.QueryContext(ctx)
+		sols, err := eng.Query(ctx, symbol.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -307,7 +295,7 @@ func BenchmarkStreamBoyerRuleJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sols, err := eng.QueryContext(ctx)
+		sols, err := eng.Query(ctx, symbol.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -323,6 +311,16 @@ func BenchmarkStreamBoyerRuleJoin(b *testing.B) {
 		}
 	}
 	b.ReportMetric(256, "solutions")
+}
+
+// mustLoad loads src with Load, failing the test on error.
+func mustLoad(tb testing.TB, src string, opts ...symbol.LoadOption) *symbol.Program {
+	tb.Helper()
+	p, err := symbol.Load(context.Background(), []byte(src), opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 func mustSource(b *testing.B, name string) string {
@@ -341,10 +339,7 @@ func mustSource(b *testing.B, name string) string {
 // assumption — the paper argues pointer-derived stack references make
 // disambiguation hopeless; this quantifies the forgone gain.
 func BenchmarkAblationRegionDisambiguation(b *testing.B) {
-	prog, err := symbol.Compile(mustSource(b, "qsort"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := mustLoad(b, mustSource(b, "qsort"))
 	var base, oracle int64
 	for i := 0; i < b.N; i++ {
 		for j, conf := range []symbol.MachineConfig{symbol.DefaultMachine(3), func() symbol.MachineConfig {
@@ -352,7 +347,7 @@ func BenchmarkAblationRegionDisambiguation(b *testing.B) {
 			c.DisambiguateRegions = true
 			return c
 		}()} {
-			sched, err := prog.Schedule(conf, symbol.ScheduleOptions{})
+			sched, err := prog.ScheduleWith(conf)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -375,16 +370,13 @@ func BenchmarkAblationRegionDisambiguation(b *testing.B) {
 // BenchmarkAblationTailDuplication quantifies the trace-length / code-size
 // trade-off of growing traces through joins.
 func BenchmarkAblationTailDuplication(b *testing.B) {
-	prog, err := symbol.Compile(mustSource(b, "serialise"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := mustLoad(b, mustSource(b, "serialise"))
 	var withLen, withoutLen float64
 	var withCycles, withoutCycles int64
 	var withOps, withoutOps int
 	for i := 0; i < b.N; i++ {
 		for j, opts := range []symbol.ScheduleOptions{{}, {NoTailDuplication: true}} {
-			sched, err := prog.Schedule(symbol.DefaultMachine(3), opts)
+			sched, err := prog.ScheduleWith(symbol.DefaultMachine(3), symbol.WithScheduleOptions(opts))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -413,19 +405,13 @@ func BenchmarkAblationModeAnalysis(b *testing.B) {
 	src := mustSource(b, "tak")
 	var checked, unchecked int64
 	for i := 0; i < b.N; i++ {
-		p1, err := symbol.CompileWith(src, symbol.Options{ArithChecks: true})
+		p1 := mustLoad(b, src, symbol.WithCompileOptions(symbol.Options{ArithChecks: true}))
+		p2 := mustLoad(b, src, symbol.WithCompileOptions(symbol.Options{ArithChecks: false}))
+		r1, err := p1.Run(context.Background(), symbol.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		p2, err := symbol.CompileWith(src, symbol.Options{ArithChecks: false})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r1, err := p1.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2, err := p2.Run()
+		r2, err := p2.Run(context.Background(), symbol.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,10 +425,7 @@ func BenchmarkAblationModeAnalysis(b *testing.B) {
 // format pinout constraint (§5.1: "the compiler has to choose, and
 // parallelism is somewhat reduced").
 func BenchmarkAblationSplitFormats(b *testing.B) {
-	prog, err := symbol.Compile(mustSource(b, "serialise"))
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := mustLoad(b, mustSource(b, "serialise"))
 	var unified, split int64
 	for i := 0; i < b.N; i++ {
 		for j, mk := range []func() symbol.MachineConfig{
@@ -453,7 +436,7 @@ func BenchmarkAblationSplitFormats(b *testing.B) {
 				return c
 			},
 		} {
-			sched, err := prog.Schedule(mk(), symbol.ScheduleOptions{})
+			sched, err := prog.ScheduleWith(mk())
 			if err != nil {
 				b.Fatal(err)
 			}

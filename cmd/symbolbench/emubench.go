@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -76,7 +77,7 @@ func benchEmuSteps(name, modes string, runs int, jsonPath string, smoke bool, st
 	if err != nil {
 		return err
 	}
-	prog, err := symbol.Compile(b.Source)
+	prog, err := symbol.Load(context.Background(), []byte(b.Source))
 	if err != nil {
 		return err
 	}

@@ -126,7 +126,7 @@ func benchEngine(name string, workers, runs int) error {
 	if err != nil {
 		return err
 	}
-	prog, err := symbol.Compile(b.Source)
+	prog, err := symbol.Load(context.Background(), []byte(b.Source))
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +46,8 @@ func main() {
 		return
 	}
 
-	var src, name string
+	var src []byte
+	var name string
 	switch {
 	case *bench != "":
 		b, err := benchprog.Get(*bench)
@@ -53,14 +55,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "symbolsim:", err)
 			os.Exit(1)
 		}
-		src, name = b.Source, b.Name
+		src, name = []byte(b.Source), b.Name
 	case flag.NArg() == 1:
 		data, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "symbolsim:", err)
 			os.Exit(1)
 		}
-		src, name = string(data), flag.Arg(0)
+		src, name = data, flag.Arg(0)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: symbolsim [-units 1,2,3] (file.pl | -bench name | -list)")
 		os.Exit(2)
@@ -76,12 +78,13 @@ func main() {
 		units = append(units, u)
 	}
 
-	prog, err := symbol.Compile(src)
+	ctx := context.Background()
+	prog, err := symbol.Load(ctx, src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symbolsim:", err)
 		os.Exit(1)
 	}
-	res, err := prog.RunWith(runOpts())
+	res, err := prog.Run(ctx, runOpts())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "symbolsim:", err)
 		os.Exit(1)
@@ -98,8 +101,8 @@ func main() {
 	fmt.Printf("\n%-14s %12s %10s %10s\n", "machine", "cycles", "speedup", "bubbles")
 	fmt.Printf("%-14s %12d %10s %10s\n", "sequential", seq, "1.00", "-")
 
-	show := func(label string, conf symbol.MachineConfig, opts symbol.ScheduleOptions) {
-		sched, err := prog.Schedule(conf, opts)
+	show := func(label string, conf symbol.MachineConfig, opts ...symbol.ScheduleOption) {
+		sched, err := prog.ScheduleWith(conf, opts...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "symbolsim:", err)
 			os.Exit(1)
@@ -116,8 +119,8 @@ func main() {
 		fmt.Printf("%-14s %12d %10.2f %10d\n", label, sim.Cycles,
 			symbol.Speedup(seq, sim.Cycles), sim.Bubble)
 	}
-	show("BAM-like", symbol.BAMMachine(), symbol.ScheduleOptions{BasicBlocksOnly: true})
+	show("BAM-like", symbol.BAMMachine(), symbol.WithBasicBlocksOnly())
 	for _, u := range units {
-		show(fmt.Sprintf("%d-unit VLIW", u), symbol.DefaultMachine(u), symbol.ScheduleOptions{})
+		show(fmt.Sprintf("%d-unit VLIW", u), symbol.DefaultMachine(u))
 	}
 }

@@ -10,11 +10,8 @@ func TestPipelineDeterminism(t *testing.T) {
 	var listings [2]string
 	var cycles [2]int64
 	for i := 0; i < 2; i++ {
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{})
+		prog := mustLoad(t, src)
+		sched, err := prog.ScheduleWith(DefaultMachine(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,15 +33,12 @@ func TestPipelineDeterminism(t *testing.T) {
 // Scheduling twice from one compiled program must also be stable (the
 // profile is cached; compaction must not mutate shared state).
 func TestScheduleIsRepeatable(t *testing.T) {
-	prog, err := Compile(benchMust(t, "qsort"))
+	prog := mustLoad(t, benchMust(t, "qsort"))
+	s1, err := prog.ScheduleWith(DefaultMachine(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := prog.Schedule(DefaultMachine(2), ScheduleOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := prog.Schedule(DefaultMachine(2), ScheduleOptions{})
+	s2, err := prog.ScheduleWith(DefaultMachine(2))
 	if err != nil {
 		t.Fatal(err)
 	}

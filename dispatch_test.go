@@ -41,10 +41,7 @@ func TestParseDispatch(t *testing.T) {
 		}
 	}
 
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2])"))
 	e := NewEngine(prog)
 	ctx := context.Background()
 	want, err := e.Run(ctx, RunOptions{Dispatch: DispatchFused})
@@ -62,21 +59,18 @@ func TestParseDispatch(t *testing.T) {
 	}
 }
 
-// TestWithDispatchRuns: each functional-option mode actually executes and
-// agrees on the answer.
+// TestWithDispatchRuns: each RunOptions.Dispatch mode of Program.Run
+// actually executes and agrees on the answer.
 func TestWithDispatchRuns(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2])")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := prog.RunContext(context.Background())
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2])"))
+	ref, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range []Dispatch{
 		DispatchAuto, DispatchLegacy, DispatchNoFuse, DispatchFused,
 	} {
-		res, err := prog.RunContext(context.Background(), WithDispatch(d))
+		res, err := prog.Run(context.Background(), RunOptions{Dispatch: d})
 		if err != nil {
 			t.Errorf("%v: %v", d, err)
 			continue

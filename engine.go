@@ -33,11 +33,9 @@ import (
 //
 // All methods are safe for concurrent use. Per-run RunOptions keep their
 // full fault and budget semantics: shrunken areas, step/cycle budgets and
-// deadlines behave identically to Program.RunWith / Scheduled.SimulateWith.
+// deadlines behave identically to Program.Run / Scheduled.SimulateWith.
 type Engine struct {
 	prog *Program
-	conf MachineConfig
-	sops ScheduleOptions
 	met  obs.Metrics
 
 	schedOnce sync.Once
@@ -46,16 +44,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over p that simulates, when asked, on the
-// paper's default 3-unit machine.
+// paper's default 3-unit machine. Scheduling (and the profiling run it
+// needs) happens lazily on the first Simulate call.
 func NewEngine(p *Program) *Engine {
-	return NewEngineConfig(p, DefaultMachine(3), ScheduleOptions{})
-}
-
-// NewEngineConfig returns an engine whose Simulate path schedules p for
-// conf under sopts. Scheduling (and the profiling run it needs) happens
-// lazily on the first Simulate call.
-func NewEngineConfig(p *Program, conf MachineConfig, sopts ScheduleOptions) *Engine {
-	return &Engine{prog: p, conf: conf, sops: sopts}
+	return &Engine{prog: p}
 }
 
 // Footprint estimates the bytes the engine owns: the compiled code and,
@@ -182,12 +174,6 @@ func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error
 	return r, nil
 }
 
-// RunContext answers one query configured by functional options — the
-// variadic companion to Run.
-func (e *Engine) RunContext(ctx context.Context, opts ...RunOption) (*Result, error) {
-	return e.Run(ctx, buildRunOptions(opts))
-}
-
 // Query starts the query on the sequential emulator and returns a
 // Solutions stream over all of its answers instead of just the first: the
 // machine suspends at each solution and backtracks on demand when the
@@ -236,17 +222,11 @@ func (e *Engine) Query(ctx context.Context, opts RunOptions) (_ *Solutions, err 
 	return &Solutions{eng: e, m: m, st: st, trace: trace, baseDeadline: opts.Deadline}, nil
 }
 
-// QueryContext starts a solution stream configured by functional options —
-// the variadic companion to Query.
-func (e *Engine) QueryContext(ctx context.Context, opts ...RunOption) (*Solutions, error) {
-	return e.Query(ctx, buildRunOptions(opts))
-}
-
 // Scheduled returns the engine's lazily compacted program (scheduling it on
 // first use), so callers can inspect the code the Simulate path runs.
 func (e *Engine) Scheduled() (*Scheduled, error) {
 	e.schedOnce.Do(func() {
-		e.sched, e.schedErr = e.prog.ScheduleWith(e.conf, WithScheduleOptions(e.sops))
+		e.sched, e.schedErr = e.prog.ScheduleWith(DefaultMachine(3))
 	})
 	return e.sched, e.schedErr
 }
@@ -314,12 +294,6 @@ func (e *Engine) Simulate(ctx context.Context, opts RunOptions) (_ *SimResult, e
 	settled = true
 	e.met.RecordDone(&sr.Stats, sr.Succeeded)
 	return sr, nil
-}
-
-// SimulateContext answers one query on the VLIW simulator configured by
-// functional options — the variadic companion to Simulate.
-func (e *Engine) SimulateContext(ctx context.Context, opts ...RunOption) (*SimResult, error) {
-	return e.Simulate(ctx, buildRunOptions(opts))
 }
 
 // Metrics snapshots the engine-wide aggregate counters: queries by outcome,
@@ -411,7 +385,7 @@ func (e *Engine) WaitIdle(ctx context.Context) error {
 	}
 }
 
-// BatchResult is one outcome of Engine.RunAll: the run's Result, or the
+// BatchResult is one outcome of Engine.RunBatch: the run's Result, or the
 // typed error that ended it. Exactly one of the fields is non-nil.
 type BatchResult struct {
 	Result *Result
@@ -430,24 +404,11 @@ type BatchRun struct {
 	Opts RunOptions
 }
 
-// RunAll answers runs[i] for every i, fanning the batch out across
-// min(GOMAXPROCS, len(runs)) workers that share the idle state list.
-// Each run keeps its own RunOptions semantics (budgets, deadlines, area
-// sizes, typed faults). Cancelling ctx aborts in-flight runs with
-// ErrCanceled and marks unstarted ones the same way; the returned slice
-// always has len(runs) entries, index-aligned with the input.
-func (e *Engine) RunAll(ctx context.Context, runs []RunOptions) []BatchResult {
-	batch := make([]BatchRun, len(runs))
-	for i, o := range runs {
-		batch[i] = BatchRun{Opts: o}
-	}
-	return e.RunBatch(ctx, batch)
-}
-
-// RunBatch is the batch entry point RunAll is built on: it answers every
-// entry, fanning out across min(GOMAXPROCS, len(batch)) workers that share
-// the idle state list, with per-entry contexts honoured alongside the
-// batch context. Because the engine is deterministic — the same program on
+// RunBatch answers every entry of a batch, fanning out across
+// min(GOMAXPROCS, len(batch)) workers that share the idle state list, with
+// per-entry contexts honoured alongside the batch context. Each run keeps
+// its own RunOptions semantics (budgets, deadlines, area sizes, typed
+// faults). Because the engine is deterministic — the same program on
 // a fresh state under the same budgets computes the same answer — a caller
 // may execute one entry per *distinct* budget class and share the result
 // across every request that posed it; that coalescing contract is what the
@@ -510,14 +471,4 @@ func (e *Engine) runBatchOne(ctx context.Context, opts RunOptions) (*Result, err
 		return nil, ErrCanceled
 	}
 	return e.Run(ctx, opts)
-}
-
-// RunN answers the same query n times under opts — the batched load shape
-// of a benchmark or a warm-up — and reports the outcomes like RunAll.
-func (e *Engine) RunN(ctx context.Context, n int, opts RunOptions) []BatchResult {
-	runs := make([]RunOptions, n)
-	for i := range runs {
-		runs[i] = opts
-	}
-	return e.RunAll(ctx, runs)
 }

@@ -19,16 +19,13 @@ main :- loop.
 // cancel, a typed ErrCanceled for runs cut short or never started — and no
 // worker goroutine may outlive the call.
 func TestRunAllMidBatchCancel(t *testing.T) {
-	prog, err := Compile(loopSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, loopSrc)
 	eng := NewEngine(prog)
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	const batch = 16
-	runs := make([]RunOptions, batch)
+	runs := make([]BatchRun, batch)
 
 	// Cancel once the batch is demonstrably mid-flight.
 	var wg sync.WaitGroup
@@ -41,7 +38,7 @@ func TestRunAllMidBatchCancel(t *testing.T) {
 		}
 		cancel()
 	}()
-	out := eng.RunAll(ctx, runs)
+	out := eng.RunBatch(ctx, runs)
 	wg.Wait()
 
 	if len(out) != batch {
@@ -77,7 +74,7 @@ func TestRunAllMidBatchCancel(t *testing.T) {
 		t.Errorf("in-flight after settled batch = %d", got)
 	}
 
-	// Workers are gone once RunAll returns (allow the runtime a moment to
+	// Workers are gone once RunBatch returns (allow the runtime a moment to
 	// reap exiting goroutines under -race).
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -92,10 +89,7 @@ func TestRunAllMidBatchCancel(t *testing.T) {
 // flight WaitIdle honours its context, and once the run is cancelled it
 // returns promptly.
 func TestWaitIdle(t *testing.T) {
-	prog, err := Compile(loopSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, loopSrc)
 	eng := NewEngine(prog)
 	runCtx, stopRun := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -129,12 +123,9 @@ func TestWaitIdle(t *testing.T) {
 // TestRunAllUncancelledCompletes is the control: without cancellation every
 // slot gets a Result and no slot gets an error.
 func TestRunAllUncancelledCompletes(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	eng := NewEngine(prog)
-	out := eng.RunAll(context.Background(), make([]RunOptions, 8))
+	out := eng.RunBatch(context.Background(), make([]BatchRun, 8))
 	for i, r := range out {
 		if r.Err != nil {
 			t.Errorf("slot %d: %v", i, r.Err)
@@ -150,10 +141,7 @@ func TestRunAllUncancelledCompletes(t *testing.T) {
 // second engine claiming the name gets a typed error, and neither path may
 // reach expvar.Publish's duplicate panic.
 func TestPublishExpvarIdempotent(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	name := "symbol_test_expvar_" + t.Name()
 	a, b := NewEngine(prog), NewEngine(prog)
 
@@ -163,7 +151,7 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 	if err := a.PublishExpvar(name); err != nil {
 		t.Fatalf("re-publish by owner: %v", err)
 	}
-	err = b.PublishExpvar(name)
+	err := b.PublishExpvar(name)
 	var taken *ErrExpvarTaken
 	if !errors.As(err, &taken) {
 		t.Fatalf("conflicting publish: err=%v, want *ErrExpvarTaken", err)
@@ -184,10 +172,7 @@ func TestPublishExpvarIdempotent(t *testing.T) {
 // TestPublishExpvarConcurrent hammers one name from many goroutines across
 // two engines: exactly one engine may own it, nobody may panic.
 func TestPublishExpvarConcurrent(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	name := "symbol_test_expvar_" + t.Name()
 	engines := []*Engine{NewEngine(prog), NewEngine(prog)}
 	var wg sync.WaitGroup

@@ -23,14 +23,8 @@ main :- fib(15, F), write(F), nl.
 // program, and after a collection — borrows the released state instead of
 // allocating its own.
 func TestEngineSharedStateNewEngine(t *testing.T) {
-	progA, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	progB, err := Compile(sharedSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	progA := mustLoad(t, engineSrc)
+	progB := mustLoad(t, sharedSrc)
 	if _, err := NewEngine(progA).Run(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +43,7 @@ func TestEngineSharedStateNewEngine(t *testing.T) {
 // closing more of them than GOMAXPROCS leaves exactly GOMAXPROCS states
 // idle, and the rest to the collector.
 func TestEngineSharedIdleCap(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	procs := runtime.GOMAXPROCS(0)
 	streams := make([]*Solutions, procs+2)
@@ -76,27 +67,26 @@ func TestEngineSharedIdleCap(t *testing.T) {
 	}
 }
 
-// TestEngineSharedRunAllConcurrent runs RunAll on engines of two programs
+// TestEngineSharedRunAllConcurrent runs RunBatch on engines of two programs
 // at once, so their runs trade states through the idle list; under -race
 // it checks the list's locking, and every outcome must equal the
 // sequential run of the same options.
 func TestEngineSharedRunAllConcurrent(t *testing.T) {
 	cases := engineStressCases()
-	var runs []RunOptions
+	var runs []BatchRun
 	for r := 0; r < 4; r++ {
-		runs = append(runs, cases...)
+		for _, o := range cases {
+			runs = append(runs, BatchRun{Opts: o})
+		}
 	}
 	var engines []*Engine
 	var want [][]BatchResult
 	for _, src := range []string{engineSrc, sharedSrc} {
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
+		prog := mustLoad(t, src)
 		eng := NewEngine(prog)
 		seq := make([]BatchResult, len(runs))
 		for i, o := range runs {
-			res, err := eng.Run(context.Background(), o)
+			res, err := eng.Run(context.Background(), o.Opts)
 			seq[i] = BatchResult{Result: res, Err: err}
 		}
 		engines = append(engines, eng)
@@ -109,7 +99,7 @@ func TestEngineSharedRunAllConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int, eng *Engine) {
 			defer wg.Done()
-			got[i] = eng.RunAll(context.Background(), runs)
+			got[i] = eng.RunBatch(context.Background(), runs)
 		}(i, eng)
 	}
 	wg.Wait()

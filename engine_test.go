@@ -27,10 +27,7 @@ main :- mk(60, L), nrev(L, R), len(R, N), write(N), nl.
 // race: before the sync.Once fix, concurrent first calls both wrote
 // p.profile unsynchronized and this test failed under -race.
 func TestProfileConcurrent(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	const workers = 8
 	profiles := make([]interface{}, workers)
 	var wg sync.WaitGroup
@@ -58,10 +55,7 @@ func TestProfileConcurrent(t *testing.T) {
 // must surface as a typed *OptionError from every public entry point,
 // before they can reach ic.Layout.
 func TestRunOptionsValidate(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	bad := []RunOptions{
 		{HeapWords: -1},
 		{EnvWords: -2},
@@ -71,15 +65,15 @@ func TestRunOptionsValidate(t *testing.T) {
 		{MaxSteps: -6},
 		{MaxCycles: -7},
 	}
-	sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{})
+	sched, err := prog.ScheduleWith(DefaultMachine(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := NewEngine(prog)
 	for _, opts := range bad {
 		var oe *OptionError
-		if _, err := prog.RunWith(opts); !errors.As(err, &oe) {
-			t.Errorf("RunWith(%+v): got %v, want *OptionError", opts, err)
+		if _, err := prog.Run(context.Background(), opts); !errors.As(err, &oe) {
+			t.Errorf("Run(%+v): got %v, want *OptionError", opts, err)
 		}
 		if _, err := sched.SimulateWith(opts); !errors.As(err, &oe) {
 			t.Errorf("SimulateWith(%+v): got %v, want *OptionError", opts, err)
@@ -115,10 +109,7 @@ func engineStressCases() []RunOptions {
 // execution of the same options: same success, same output, same typed
 // fault kind.
 func TestEngineConcurrentStress(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	cases := engineStressCases()
 
 	// Serial ground truth, one one-shot run per case.
@@ -128,19 +119,21 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 	want := make([]outcome, len(cases))
 	for i, opts := range cases {
-		res, err := prog.RunWith(opts)
+		res, err := prog.Run(context.Background(), opts)
 		want[i] = outcome{res, err}
 	}
 
 	eng := NewEngine(prog)
 	const rounds = 8
-	runs := make([]RunOptions, 0, rounds*len(cases))
+	runs := make([]BatchRun, 0, rounds*len(cases))
 	for r := 0; r < rounds; r++ {
-		runs = append(runs, cases...)
+		for _, o := range cases {
+			runs = append(runs, BatchRun{Opts: o})
+		}
 	}
-	got := eng.RunAll(context.Background(), runs)
+	got := eng.RunBatch(context.Background(), runs)
 	if len(got) != len(runs) {
-		t.Fatalf("RunAll returned %d outcomes for %d runs", len(got), len(runs))
+		t.Fatalf("RunBatch returned %d outcomes for %d runs", len(got), len(runs))
 	}
 	for i, g := range got {
 		w := want[i%len(cases)]
@@ -168,11 +161,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 // one-shot Scheduled.Simulate, including repeat runs on the same recycled
 // state.
 func TestEngineSimulatePooled(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{})
+	prog := mustLoad(t, engineSrc)
+	sched, err := prog.ScheduleWith(DefaultMachine(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,30 +191,27 @@ build(0, []).
 build(N, [N|T]) :- N > 0, M is N - 1, build(M, T).
 main :- catch(build(3000, _L), resource_error(A), (write(caught(A)), nl)).
 `
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caught, err := prog.RunWith(RunOptions{HeapWords: 4096})
+	prog := mustLoad(t, src)
+	caught, err := prog.Run(context.Background(), RunOptions{HeapWords: 4096})
 	if err != nil {
 		t.Fatalf("serial caught run: %v", err)
 	}
 	if !strings.Contains(caught.Output, "caught(heap)") {
 		t.Fatalf("serial caught run output %q", caught.Output)
 	}
-	plain, err := prog.RunWith(RunOptions{})
+	plain, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatalf("serial plain run: %v", err)
 	}
 
 	eng := NewEngine(prog)
-	runs := make([]RunOptions, 40)
+	runs := make([]BatchRun, 40)
 	for i := range runs {
 		if i%2 == 0 {
-			runs[i] = RunOptions{HeapWords: 4096}
+			runs[i].Opts = RunOptions{HeapWords: 4096}
 		}
 	}
-	for i, g := range eng.RunAll(context.Background(), runs) {
+	for i, g := range eng.RunBatch(context.Background(), runs) {
 		if g.Err != nil {
 			t.Fatalf("run %d: %v", i, g.Err)
 		}
@@ -242,10 +229,7 @@ main :- catch(build(3000, _L), resource_error(A), (write(caught(A)), nl)).
 // engine runs allocate far less than the allocate-per-run baseline (which
 // makes a fresh ~19M-word memory image for every query).
 func TestEngineRunAllocs(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	eng := NewEngine(prog)
 	ctx := context.Background()
 	// Warm the pool so the measurement sees the steady state.
@@ -277,14 +261,11 @@ func TestEngineRunAllocs(t *testing.T) {
 // TestEngineCancel covers ctx cancellation: an already-cancelled context
 // aborts every run with the typed ErrCanceled sentinel.
 func TestEngineCancel(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	eng := NewEngine(prog)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for i, g := range eng.RunN(ctx, 4, RunOptions{}) {
+	for i, g := range eng.RunBatch(ctx, make([]BatchRun, 4)) {
 		if !errors.Is(g.Err, ErrCanceled) {
 			t.Fatalf("run %d: err=%v, want ErrCanceled", i, g.Err)
 		}
@@ -298,14 +279,11 @@ func TestEngineCtxDeadline(t *testing.T) {
 loop :- loop.
 main :- loop.
 `
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, src)
 	eng := NewEngine(prog)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err = eng.Run(ctx, RunOptions{})
+	_, err := eng.Run(ctx, RunOptions{})
 	if !errors.Is(err, ErrDeadline) && !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err=%v, want deadline or canceled fault", err)
 	}
@@ -314,10 +292,7 @@ main :- loop.
 // TestRunBatchPerEntryCancel: a batch entry's own context cancels that
 // entry alone; siblings in the same RunBatch still get their answers.
 func TestRunBatchPerEntryCancel(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	eng := NewEngine(prog)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -342,10 +317,7 @@ func TestRunBatchPerEntryCancel(t *testing.T) {
 // and the figure never decreases across runs. Machine states are not
 // counted: engines hold none between runs.
 func TestEngineFootprint(t *testing.T) {
-	prog, err := Compile(engineSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, engineSrc)
 	eng := NewEngine(prog)
 	cold := eng.Footprint()
 	if cold <= 0 {

@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"testing"
 
 	"symbol/internal/benchprog"
@@ -13,17 +14,14 @@ import (
 
 func checkEquivalence(t *testing.T, name, src string, opts ScheduleOptions, units []int) {
 	t.Helper()
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatalf("%s: compile: %v", name, err)
-	}
-	seq, err := prog.Run()
+	prog := mustLoad(t, src)
+	seq, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatalf("%s: sequential run: %v", name, err)
 	}
 	for _, u := range units {
 		conf := DefaultMachine(u)
-		sched, err := prog.Schedule(conf, opts)
+		sched, err := prog.ScheduleWith(conf, WithScheduleOptions(opts))
 		if err != nil {
 			t.Fatalf("%s/%d-unit: schedule: %v", name, u, err)
 		}
@@ -110,17 +108,14 @@ func TestVLIWEquivalenceBenchmarks(t *testing.T) {
 // Speedups must be sane: parallel cycles never exceed sequential cycles by
 // more than the bubble overhead, and more units never hurt much.
 func TestSpeedupSanity(t *testing.T) {
-	prog, err := Compile(benchMust(t, "qsort"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, benchMust(t, "qsort"))
 	seq, err := prog.SeqCycles()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var prev int64
 	for _, u := range []int{1, 2, 3, 4, 5} {
-		sched, err := prog.Schedule(DefaultMachine(u), ScheduleOptions{})
+		sched, err := prog.ScheduleWith(DefaultMachine(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,6 +133,16 @@ func TestSpeedupSanity(t *testing.T) {
 		}
 		prev = res.Cycles
 	}
+}
+
+// mustLoad loads src with Load, failing the test on error.
+func mustLoad(tb testing.TB, src string, opts ...LoadOption) *Program {
+	tb.Helper()
+	p, err := Load(context.Background(), []byte(src), opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 func benchMust(t *testing.T, name string) string {

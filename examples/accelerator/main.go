@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,11 +49,12 @@ main :- best(base, depot, C), write(cost(C)), nl,
 `
 
 func main() {
-	prog, err := symbol.Compile(src)
+	ctx := context.Background()
+	prog, err := symbol.Load(ctx, []byte(src))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run()
+	res, err := prog.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func main() {
 	conf.BranchBubble = 2 // two-cycle delayed branches
 	const clockMHz = 30.0
 
-	sched, err := prog.Schedule(conf, symbol.ScheduleOptions{})
+	sched, err := prog.ScheduleWith(conf)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,11 +29,12 @@ main :- d((x+1) * ((x^2+2) * (x^3+3)), x, D), write(D), nl.
 `
 
 func main() {
-	prog, err := symbol.Compile(src)
+	ctx := context.Background()
+	prog, err := symbol.Load(ctx, []byte(src))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run()
+	res, err := prog.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,14 +58,12 @@ func main() {
 	fmt.Printf("%-22s %10d %8.2f\n", "sequential", seq, 1.0)
 	for _, cfg := range []struct {
 		label string
-		bb    bool
-		units int
+		opts  []symbol.ScheduleOption
 	}{
-		{"3-unit, basic blocks", true, 3},
-		{"3-unit, traces", false, 3},
+		{"3-unit, basic blocks", []symbol.ScheduleOption{symbol.WithBasicBlocksOnly()}},
+		{"3-unit, traces", nil},
 	} {
-		sched, err := prog.Schedule(symbol.DefaultMachine(cfg.units),
-			symbol.ScheduleOptions{BasicBlocksOnly: cfg.bb})
+		sched, err := prog.ScheduleWith(symbol.DefaultMachine(3), cfg.opts...)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -32,11 +33,12 @@ range(M, N, [M|Ns]) :- M < N, M1 is M+1, range(M1, N, Ns).
 `
 
 func main() {
-	prog, err := symbol.Compile(src)
+	ctx := context.Background()
+	prog, err := symbol.Load(ctx, []byte(src))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := prog.Run()
+	res, err := prog.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 
 	fmt.Printf("%-8s %10s %8s\n", "units", "cycles", "speedup")
 	for _, u := range []int{1, 2, 3, 4, 5, 8} {
-		sched, err := prog.Schedule(symbol.DefaultMachine(u), symbol.ScheduleOptions{})
+		sched, err := prog.ScheduleWith(symbol.DefaultMachine(u))
 		if err != nil {
 			log.Fatal(err)
 		}

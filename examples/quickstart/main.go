@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,15 +21,16 @@ main :- nrev([1,2,3,4,5,6,7,8,9,10], R), write(R), nl.
 `
 
 func main() {
+	ctx := context.Background()
 	// 1. Compile Prolog → BAM → Intermediate Code.
-	prog, err := symbol.Compile(src)
+	prog, err := symbol.Load(ctx, []byte(src))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("compiled to %d intermediate-code instructions\n", prog.CodeSize())
 
 	// 2. Run sequentially (this is also what produces the answer).
-	res, err := prog.Run()
+	res, err := prog.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,7 +45,7 @@ func main() {
 	fmt.Printf("sequential machine: %d cycles\n", seq)
 
 	// 4. Trace-schedule onto a 3-unit VLIW and simulate.
-	sched, err := prog.Schedule(symbol.DefaultMachine(3), symbol.ScheduleOptions{})
+	sched, err := prog.ScheduleWith(symbol.DefaultMachine(3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -14,12 +15,9 @@ import (
 // simulator under the same resource options, returning both errors.
 func runBoth(t *testing.T, src string, opts RunOptions) (seqErr, simErr error) {
 	t.Helper()
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	_, seqErr = prog.RunWith(opts)
-	sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{})
+	prog := mustLoad(t, src)
+	_, seqErr = prog.Run(context.Background(), opts)
+	sched, err := prog.ScheduleWith(DefaultMachine(3))
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -111,24 +109,18 @@ main :- mk(200, A), mk(200, B), A = B.
 // fault on the sequential emulator; with catch/3 it is recoverable on both
 // executors (which also exercises the VLIW SysFault redirect path).
 func TestFaultZeroDivide(t *testing.T) {
-	prog, err := Compile(`main :- X is 1 // 0, X > 0.`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if _, err := prog.Run(); !errors.Is(err, ErrZeroDivide) {
+	prog := mustLoad(t, `main :- X is 1 // 0, X > 0.`)
+	if _, err := prog.Run(context.Background(), RunOptions{}); !errors.Is(err, ErrZeroDivide) {
 		t.Errorf("sequential uncaught: got %v, want %v", err, ErrZeroDivide)
 	}
 
 	src := `main :- catch((X is 1 // 0, write(X)), zero_divisor, (write(caught), nl)).`
-	caught, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	res, err := caught.Run()
+	caught := mustLoad(t, src)
+	res, err := caught.Run(context.Background(), RunOptions{})
 	if err != nil || !res.Succeeded || res.Output != "caught\n" {
 		t.Fatalf("sequential catch: res=%+v err=%v", res, err)
 	}
-	sched, err := caught.Schedule(DefaultMachine(3), ScheduleOptions{})
+	sched, err := caught.ScheduleWith(DefaultMachine(3))
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -176,11 +168,8 @@ main :- count(100000).
 // TestFaultUncaughtThrow checks the typed sentinel for a ball no catch/3
 // frame wants.
 func TestFaultUncaughtThrow(t *testing.T) {
-	prog, err := Compile(`main :- throw(unhandled(42)).`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	if _, err := prog.Run(); !errors.Is(err, ErrUncaughtThrow) {
+	prog := mustLoad(t, `main :- throw(unhandled(42)).`)
+	if _, err := prog.Run(context.Background(), RunOptions{}); !errors.Is(err, ErrUncaughtThrow) {
 		t.Errorf("got %v, want %v", err, ErrUncaughtThrow)
 	}
 }
@@ -196,13 +185,10 @@ main :- catch((build(3000, L), L = [_|_], write(full), nl),
               resource_error(heap),
               (write(recovered), nl)).
 `
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	prog := mustLoad(t, src)
 
 	// Default layout: the build fits and the goal path answers "full".
-	res, err := prog.Run()
+	res, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil || !res.Succeeded || res.Output != "full\n" {
 		t.Fatalf("sequential default: res=%+v err=%v", res, err)
 	}
@@ -210,12 +196,12 @@ main :- catch((build(3000, L), L = [_|_], write(full), nl),
 	// Shrunken heap: the overflow converts to resource_error(heap), the
 	// stack unwinds to the catch frame, and the recovery goal answers.
 	opts := RunOptions{HeapWords: 4096}
-	res, err = prog.RunWith(opts)
+	res, err = prog.Run(context.Background(), opts)
 	if err != nil || !res.Succeeded || res.Output != "recovered\n" {
 		t.Fatalf("sequential shrunken: res=%+v err=%v", res, err)
 	}
 
-	sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{})
+	sched, err := prog.ScheduleWith(DefaultMachine(3))
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
@@ -322,10 +308,7 @@ func FuzzFaultTinyLimits(f *testing.F) {
 	f.Add(int64(3), uint16(4096), uint16(512), uint16(512), uint16(256), uint16(64), int64(100000))
 	compiled := make([]*Program, len(progs))
 	for i, p := range progs {
-		prog, err := Compile(p.Src)
-		if err != nil {
-			f.Fatalf("%s: compile: %v", p.Name, err)
-		}
+		prog := mustLoad(f, p.Src)
 		compiled[i] = prog
 	}
 	f.Fuzz(func(t *testing.T, pick int64, heap, env, cp, trail, pdl uint16, steps int64) {
@@ -338,7 +321,7 @@ func FuzzFaultTinyLimits(f *testing.F) {
 			TrailWords: int64(trail),
 			PDLWords:   int64(pdl),
 		}
-		if _, err := prog.RunWith(opts); err != nil {
+		if _, err := prog.Run(context.Background(), opts); err != nil {
 			// Must be a classified fault, not an untyped internal error.
 			var fp *fault.Fault
 			if !errors.As(err, &fp) {

@@ -51,10 +51,7 @@ func TestFusionDifferentialBenchmarks(t *testing.T) {
 				t.Skip("heavy benchmark (short mode)")
 			}
 			t.Parallel()
-			prog, err := Compile(b.Source)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
+			prog := mustLoad(t, b.Source)
 			ref, err := runMode(t, prog, emu.Options{}, emuModes[0].set)
 			if err != nil {
 				t.Fatalf("legacy run: %v", err)
@@ -85,10 +82,7 @@ func TestFusionStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(b.Source)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	prog := mustLoad(t, b.Source)
 	xp := exec.Of(prog.icp)
 	pairs := 0
 	for _, n := range xp.Stats.Pairs {
@@ -160,10 +154,7 @@ func TestFusionFaultMatrix(t *testing.T) {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			prog, err := Compile(src)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
+			prog := mustLoad(t, src)
 			for _, inj := range fusionInjections {
 				ref, refErr := runMode(t, prog, inj.opts, emuModes[0].set)
 				for _, m := range emuModes[1:] {
@@ -203,10 +194,7 @@ func TestFusionCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(b.Source)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	prog := mustLoad(t, b.Source)
 
 	closed := make(chan struct{})
 	close(closed)

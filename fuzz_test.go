@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -84,16 +85,13 @@ func TestFuzzSeqVsVLIW(t *testing.T) {
 	}
 	for i := 0; i < cases; i++ {
 		src := gen.generate()
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatalf("case %d: compile: %v\n%s", i, err, src)
-		}
-		seq, err := prog.Run()
+		prog := mustLoad(t, src)
+		seq, err := prog.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("case %d: run: %v\n%s", i, err, src)
 		}
 		for _, u := range []int{1, 3} {
-			sched, err := prog.Schedule(DefaultMachine(u), ScheduleOptions{})
+			sched, err := prog.ScheduleWith(DefaultMachine(u))
 			if err != nil {
 				t.Fatalf("case %d/%du: schedule: %v\n%s", i, u, err, src)
 			}
@@ -116,15 +114,12 @@ func TestFuzzBasicBlocksMode(t *testing.T) {
 	gen := &progGen{rng: rng}
 	for i := 0; i < 10; i++ {
 		src := gen.generate()
-		prog, err := Compile(src)
+		prog := mustLoad(t, src)
+		seq, err := prog.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		seq, err := prog.Run()
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		sched, err := prog.Schedule(BAMMachine(), ScheduleOptions{BasicBlocksOnly: true})
+		sched, err := prog.ScheduleWith(BAMMachine(), WithBasicBlocksOnly())
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -22,7 +22,7 @@ import (
 type ValKind uint8
 
 const (
-	VNone ValKind = iota
+	_     ValKind = iota
 	VReg          // virtual register
 	VAtom         // atom immediate
 	VInt          // integer immediate

@@ -1,6 +1,7 @@
 package benchprog_test
 
 import (
+	"context"
 	"testing"
 
 	"symbol"
@@ -29,14 +30,14 @@ func TestBenchmarksRun(t *testing.T) {
 			if b.Heavy && testing.Short() {
 				t.Skip("heavy benchmark skipped in short mode")
 			}
-			prog, err := symbol.Compile(b.Source)
+			prog, err := symbol.Load(context.Background(), []byte(b.Source))
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
 			if u := prog.Undefined(); len(u) != 0 {
 				t.Fatalf("undefined predicates: %v", u)
 			}
-			res, err := prog.Run()
+			res, err := prog.Run(context.Background(), symbol.RunOptions{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}

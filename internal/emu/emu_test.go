@@ -165,6 +165,20 @@ func TestRuntimeErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownSysOpError pins the error text of a one-instruction program
+// whose SysID no table names (predecoded to XSysBad): every mode reports
+// the same message, with the instruction disassembled, not a fmt panic.
+func TestUnknownSysOpError(t *testing.T) {
+	prog := mkProg([]ic.Inst{{Op: ic.SysOp, Sys: ic.SysID(9)}})
+	const want = "emu: pc=0 [sys   SysID(9) h]: unknown sys op"
+	for _, opts := range []Options{{Legacy: true}, {NoFuse: true}, {}} {
+		_, err := Run(prog, opts)
+		if err == nil || err.Error() != want {
+			t.Errorf("legacy=%v nofuse=%v: error %v, want %q", opts.Legacy, opts.NoFuse, err, want)
+		}
+	}
+}
+
 func TestStepLimit(t *testing.T) {
 	code := []ic.Inst{{Op: ic.Jmp, Target: 0}}
 	if _, err := Run(mkProg(code), Options{MaxSteps: 50}); err == nil {

@@ -19,8 +19,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"symbol"
 	"symbol/internal/benchprog"
@@ -29,13 +32,18 @@ import (
 	"symbol/internal/stats"
 )
 
-// Runner caches compiled and profiled benchmarks across experiments.
+// Runner caches compiled and profiled benchmarks across experiments. Each
+// experiment computes its rows concurrently (see cells): the suite programs
+// are independent, so only the order of the rows, not of the work, is
+// fixed, and averages are summed in row order.
 type Runner struct {
 	mu    sync.Mutex
 	cache map[string]*entry
 }
 
 type entry struct {
+	once sync.Once
+	err  error
 	prog *symbol.Program
 	prof *emu.Profile
 	seq  int64 // sequential-machine cycles (mem/ctrl cost 2)
@@ -44,32 +52,78 @@ type entry struct {
 // NewRunner returns an empty runner.
 func NewRunner() *Runner { return &Runner{cache: map[string]*entry{}} }
 
-// get compiles and profiles a benchmark once.
+// get compiles and profiles a benchmark once. Concurrent callers asking
+// for the same name wait for the one compile; different names proceed in
+// parallel.
 func (r *Runner) get(name string) (*entry, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.cache[name]; ok {
-		return e, nil
+	e, ok := r.cache[name]
+	if !ok {
+		e = &entry{}
+		r.cache[name] = e
 	}
+	r.mu.Unlock()
+	e.once.Do(func() { e.err = e.load(name) })
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e, nil
+}
+
+func (e *entry) load(name string) error {
 	b, err := benchprog.Get(name)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	prog, err := symbol.Compile(b.Source)
+	prog, err := symbol.Load(context.Background(), []byte(b.Source))
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	prof, err := prog.Profile()
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return fmt.Errorf("%s: %w", name, err)
 	}
 	seq, err := prog.SeqCycles()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e := &entry{prog: prog, prof: prof, seq: seq}
-	r.cache[name] = e
-	return e, nil
+	e.prog, e.prof, e.seq = prog, prof, seq
+	return nil
+}
+
+// cells calls cell(i, c, e) for every program names[i], with e its cached
+// entry, and every c in [0, k): k independent pieces of its row, such as
+// one schedule and simulation per machine configuration. The calls run on
+// at most GOMAXPROCS workers, the cap the machine-state idle list keeps,
+// so a table costs about its work divided by the workers, bounded below
+// by its longest cell. Each call writes only its own part of the row. On
+// failure cells returns the error of the first failing (i, c) in order,
+// as a serial loop would.
+func (r *Runner) cells(names []string, k int, cell func(i, c int, e *entry) error) error {
+	n := len(names) * k
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := int(next.Add(1)) - 1; j < n; j = int(next.Add(1)) - 1 {
+				e, err := r.get(names[j/k])
+				if err == nil {
+					err = cell(j/k, j%k, e)
+				}
+				errs[j] = err
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // SuiteNames returns the paper's Table 3 benchmark rows.
@@ -107,19 +161,19 @@ type Figure2 struct {
 
 // Figure2Mix measures the dynamic instruction-class frequencies.
 func (r *Runner) Figure2Mix(names []string) (*Figure2, error) {
-	out := &Figure2{}
-	var mixes []stats.Mix
-	for _, n := range names {
-		e, err := r.get(n)
-		if err != nil {
-			return nil, err
-		}
-		m := stats.ComputeMix(e.prog.IC(), e.prof)
-		mixes = append(mixes, m)
-		out.Rows = append(out.Rows, Fig2Row{Name: n, Mix: m})
+	rows := make([]Fig2Row, len(names))
+	err := r.cells(names, 1, func(i, _ int, e *entry) error {
+		rows[i] = Fig2Row{Name: names[i], Mix: stats.ComputeMix(e.prog.IC(), e.prof)}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.Average = stats.AverageMix(mixes)
-	return out, nil
+	mixes := make([]stats.Mix, len(rows))
+	for i, row := range rows {
+		mixes[i] = row.Mix
+	}
+	return &Figure2{Rows: rows, Average: stats.AverageMix(mixes)}, nil
 }
 
 // Render formats Figure 2 as text.

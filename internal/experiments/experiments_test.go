@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -158,16 +159,32 @@ func TestTable5(t *testing.T) {
 
 func TestRunnerCaching(t *testing.T) {
 	r := NewRunner()
-	if _, err := r.get("qsort"); err != nil {
-		t.Fatal(err)
+	// Concurrent first gets of one name share a single compile.
+	got := make([]*entry, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e, err := r.get("qsort")
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = e
+		}()
 	}
-	e1, _ := r.get("qsort")
-	e2, _ := r.get("qsort")
-	if e1 != e2 {
-		t.Error("runner must cache entries")
+	wg.Wait()
+	for _, e := range got[1:] {
+		if e != got[0] {
+			t.Error("runner must cache entries")
+		}
 	}
 	if _, err := r.get("nosuch"); err == nil {
 		t.Error("unknown benchmark must error")
+	}
+	// A failing program fails the whole table, whatever its position.
+	if _, err := r.Figure2Mix([]string{"qsort", "nosuch", "times10"}); err == nil {
+		t.Error("a table over an unknown benchmark must error")
 	}
 }
 

@@ -31,38 +31,42 @@ type Table1 struct {
 // unbounded machine with and without trace scheduling and simulating the
 // compacted code.
 func (r *Runner) Table1Compaction(names []string) (*Table1, error) {
-	out := &Table1{}
-	for _, n := range names {
-		e, err := r.get(n)
-		if err != nil {
-			return nil, err
+	conf := symbol.UnboundedMachine()
+	rows := make([]Table1Row, len(names))
+	// Cell 0 schedules traces, cell 1 basic blocks only.
+	err := r.cells(names, 2, func(i, c int, e *entry) error {
+		n := names[i]
+		if c == 0 {
+			tr, err := e.prog.ScheduleWith(conf)
+			if err != nil {
+				return fmt.Errorf("%s: %w", n, err)
+			}
+			trSim, err := tr.Simulate()
+			if err != nil {
+				return fmt.Errorf("%s traces: %w", n, err)
+			}
+			rows[i].Name = n
+			rows[i].TraceSpeedup = symbol.Speedup(e.seq, trSim.Cycles)
+			rows[i].TraceLen = tr.AvgTraceLen()
+			return nil
 		}
-		row := Table1Row{Name: n}
-		conf := symbol.UnboundedMachine()
-
-		tr, err := e.prog.Schedule(conf, symbol.ScheduleOptions{})
+		bb, err := e.prog.ScheduleWith(conf, symbol.WithBasicBlocksOnly())
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", n, err)
-		}
-		trSim, err := tr.Simulate()
-		if err != nil {
-			return nil, fmt.Errorf("%s traces: %w", n, err)
-		}
-		row.TraceSpeedup = symbol.Speedup(e.seq, trSim.Cycles)
-		row.TraceLen = tr.AvgTraceLen()
-
-		bb, err := e.prog.Schedule(conf, symbol.ScheduleOptions{BasicBlocksOnly: true})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", n, err)
+			return fmt.Errorf("%s: %w", n, err)
 		}
 		bbSim, err := bb.Simulate()
 		if err != nil {
-			return nil, fmt.Errorf("%s basic blocks: %w", n, err)
+			return fmt.Errorf("%s basic blocks: %w", n, err)
 		}
-		row.BBSpeedup = symbol.Speedup(e.seq, bbSim.Cycles)
-		row.BBLen = bb.AvgTraceLen()
-
-		out.Rows = append(out.Rows, row)
+		rows[i].BBSpeedup = symbol.Speedup(e.seq, bbSim.Cycles)
+		rows[i].BBLen = bb.AvgTraceLen()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table1{Rows: rows}
+	for _, row := range rows {
 		out.Avg.TraceSpeedup += row.TraceSpeedup
 		out.Avg.TraceLen += row.TraceLen
 		out.Avg.BBSpeedup += row.BBSpeedup
@@ -116,17 +120,20 @@ type Table2 struct {
 // Table2Branches measures P_fp for each benchmark.
 func (r *Runner) Table2Branches(names []string) (*Table2, error) {
 	const bins = 20
-	out := &Table2{Bins: bins, Histogram: make([]float64, bins)}
-	for _, n := range names {
-		e, err := r.get(n)
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]Table2Row, len(names))
+	err := r.cells(names, 1, func(i, _ int, e *entry) error {
 		bs := stats.ComputeBranchStats(e.prog.IC(), e.prof, bins)
 		back, fwd := stats.NinetyFifty(e.prog.IC(), e.prof)
-		out.Rows = append(out.Rows, Table2Row{Name: n, Bs: bs, BackwardTaken: back, ForwardTaken: fwd})
-		out.AvgPfp += bs.AvgPfp
-		for i, v := range bs.Histogram {
+		rows[i] = Table2Row{Name: names[i], Bs: bs, BackwardTaken: back, ForwardTaken: fwd}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table2{Rows: rows, Bins: bins, Histogram: make([]float64, bins)}
+	for _, row := range rows {
+		out.AvgPfp += row.Bs.AvgPfp
+		for i, v := range row.Bs.Histogram {
 			out.Histogram[i] += v
 		}
 	}
@@ -184,38 +191,46 @@ type Table3 struct {
 // basic-block compaction on one unit (the paper observes the BAM sits at
 // the basic-block limit).
 func (r *Runner) Table3Sweep(names []string, units []int) (*Table3, error) {
-	out := &Table3{Units: units, AvgSU: make([]float64, len(units))}
-	for _, n := range names {
-		e, err := r.get(n)
-		if err != nil {
-			return nil, err
-		}
-		row := Table3Row{Name: n, SeqCycles: e.seq}
-
-		bam, err := e.prog.Schedule(symbol.BAMMachine(), symbol.ScheduleOptions{BasicBlocksOnly: true})
-		if err != nil {
-			return nil, err
-		}
-		bamSim, err := bam.Simulate()
-		if err != nil {
-			return nil, fmt.Errorf("%s BAM: %w", n, err)
-		}
-		row.BAMCycles = bamSim.Cycles
-		row.BAMSU = symbol.Speedup(e.seq, bamSim.Cycles)
-
-		for _, u := range units {
-			sched, err := e.prog.Schedule(symbol.DefaultMachine(u), symbol.ScheduleOptions{})
+	rows := make([]Table3Row, len(names))
+	for i := range rows {
+		rows[i].Cycles = make([]int64, len(units))
+		rows[i].Speedups = make([]float64, len(units))
+	}
+	// Cell 0 is the BAM column, cell c the units[c-1] machine.
+	err := r.cells(names, 1+len(units), func(i, c int, e *entry) error {
+		n, row := names[i], &rows[i]
+		if c == 0 {
+			bam, err := e.prog.ScheduleWith(symbol.BAMMachine(), symbol.WithBasicBlocksOnly())
 			if err != nil {
-				return nil, err
+				return err
 			}
-			sim, err := sched.Simulate()
+			bamSim, err := bam.Simulate()
 			if err != nil {
-				return nil, fmt.Errorf("%s %d units: %w", n, u, err)
+				return fmt.Errorf("%s BAM: %w", n, err)
 			}
-			row.Cycles = append(row.Cycles, sim.Cycles)
-			row.Speedups = append(row.Speedups, symbol.Speedup(e.seq, sim.Cycles))
+			row.Name, row.SeqCycles = n, e.seq
+			row.BAMCycles = bamSim.Cycles
+			row.BAMSU = symbol.Speedup(e.seq, bamSim.Cycles)
+			return nil
 		}
-		out.Rows = append(out.Rows, row)
+		u := units[c-1]
+		sched, err := e.prog.ScheduleWith(symbol.DefaultMachine(u))
+		if err != nil {
+			return err
+		}
+		sim, err := sched.Simulate()
+		if err != nil {
+			return fmt.Errorf("%s %d units: %w", n, u, err)
+		}
+		row.Cycles[c-1] = sim.Cycles
+		row.Speedups[c-1] = symbol.Speedup(e.seq, sim.Cycles)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table3{Units: units, Rows: rows, AvgSU: make([]float64, len(units))}
+	for _, row := range rows {
 		out.AvgBAM += row.BAMSU
 		for i, su := range row.Speedups {
 			out.AvgSU[i] += su
@@ -332,31 +347,34 @@ const nrevLI = 496
 // Table4Absolute runs every benchmark on the Symbol-3 prototype model and
 // converts cycles to milliseconds at the prototype clock.
 func (r *Runner) Table4Absolute(names []string) (*Table4, error) {
-	out := &Table4{}
 	conf := Symbol3Config()
-	for _, n := range names {
-		e, err := r.get(n)
+	rows := make([]Table4Row, len(names))
+	err := r.cells(names, 1, func(i, _ int, e *entry) error {
+		n := names[i]
+		sched, err := e.prog.ScheduleWith(conf)
 		if err != nil {
-			return nil, err
-		}
-		sched, err := e.prog.Schedule(conf, symbol.ScheduleOptions{})
-		if err != nil {
-			return nil, err
+			return err
 		}
 		sim, err := sched.Simulate()
 		if err != nil {
-			return nil, fmt.Errorf("%s symbol-3: %w", n, err)
+			return fmt.Errorf("%s symbol-3: %w", n, err)
 		}
-		row := Table4Row{
+		rows[i] = Table4Row{
 			Name:       n,
 			Ref:        refTimes[n],
 			Cycles:     sim.Cycles,
 			MeasuredMs: float64(sim.Cycles) / ClockHz * 1000,
 		}
-		if n == "reverse" && row.MeasuredMs > 0 {
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table4{Rows: rows}
+	for _, row := range rows {
+		if row.Name == "reverse" && row.MeasuredMs > 0 {
 			out.NreverseMLIPS = nrevLI / (row.MeasuredMs * 1000) // LI per µs
 		}
-		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
@@ -405,43 +423,45 @@ type Table5 struct {
 // Table5Relative computes speed-ups under the prototype's operation
 // durations (memory and control: three-cycle pipeline).
 func (r *Runner) Table5Relative(names []string) (*Table5, error) {
-	out := &Table5{}
 	conf := Symbol3Config()
 	bamConf := conf
 	bamConf.Units = 1
 	bamConf.BranchBubble = 0 // the BAM fills its delayed branches
-	for _, n := range names {
-		e, err := r.get(n)
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]Table5Row, len(names))
+	// Cell 0 is the Symbol-3 column, cell 1 the BAM-like one.
+	err := r.cells(names, 2, func(i, c int, e *entry) error {
 		mix := stats.ComputeMix(e.prog.IC(), e.prof)
 		seq := mix.Counts[ic.ClassALU] + mix.Counts[ic.ClassMove] + mix.Counts[ic.ClassSys] +
 			3*(mix.Counts[ic.ClassMemory]+mix.Counts[ic.ClassControl])
-
-		s3, err := e.prog.Schedule(conf, symbol.ScheduleOptions{})
-		if err != nil {
-			return nil, err
+		if c == 0 {
+			s3, err := e.prog.ScheduleWith(conf)
+			if err != nil {
+				return err
+			}
+			s3Sim, err := s3.Simulate()
+			if err != nil {
+				return err
+			}
+			rows[i].Name, rows[i].SeqCycles = names[i], seq
+			rows[i].Sym3SU = symbol.Speedup(seq, s3Sim.Cycles)
+			return nil
 		}
-		s3Sim, err := s3.Simulate()
+		bam, err := e.prog.ScheduleWith(bamConf, symbol.WithBasicBlocksOnly())
 		if err != nil {
-			return nil, err
-		}
-		bam, err := e.prog.Schedule(bamConf, symbol.ScheduleOptions{BasicBlocksOnly: true})
-		if err != nil {
-			return nil, err
+			return err
 		}
 		bamSim, err := bam.Simulate()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		row := Table5Row{
-			Name:       n,
-			SeqCycles:  seq,
-			BAMSpeedup: symbol.Speedup(seq, bamSim.Cycles),
-			Sym3SU:     symbol.Speedup(seq, s3Sim.Cycles),
-		}
-		out.Rows = append(out.Rows, row)
+		rows[i].BAMSpeedup = symbol.Speedup(seq, bamSim.Cycles)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := &Table5{Rows: rows}
+	for _, row := range rows {
 		out.AvgBAM += row.BAMSpeedup
 		out.AvgSym3 += row.Sym3SU
 	}

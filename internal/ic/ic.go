@@ -65,7 +65,7 @@ const (
 
 var classNames = [NumClasses]string{"alu", "memory", "move", "control", "sys"}
 
-func (c Class) String() string { return classNames[c] }
+func (c Class) String() string { return tableName(classNames[:], c, "Class") }
 
 // Op is an ICI opcode.
 type Op uint8
@@ -132,7 +132,7 @@ const (
 
 var condNames = []string{"eq", "ne", "lt", "le", "gt", "ge"}
 
-func (c Cond) String() string { return condNames[c] }
+func (c Cond) String() string { return tableName(condNames, c, "Cond") }
 
 // Invert returns the negation of the condition, used by the trace scheduler
 // to lay the predicted path out as fall-through.
@@ -168,7 +168,7 @@ const (
 
 var sysNames = []string{"none", "write", "nl", "compare", "write_code", "ball_put", "fault"}
 
-func (s SysID) String() string { return sysNames[s] }
+func (s SysID) String() string { return tableName(sysNames, s, "SysID") }
 
 // Region is an optional static memory-region annotation used by the
 // ablation study on memory disambiguation. The paper argues stack and heap
@@ -189,7 +189,17 @@ const (
 
 var regionNames = []string{"?", "heap", "env", "cp", "trail", "pdl", "ball"}
 
-func (r Region) String() string { return regionNames[r] }
+func (r Region) String() string { return tableName(regionNames, r, "Region") }
+
+// tableName returns v's entry in names, or "typ(v)" for a value past the
+// table (a hand-built or corrupt instruction), so printing one never
+// panics.
+func tableName[T ~uint8](names []string, v T, typ string) string {
+	if int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, uint8(v))
+}
 
 // Overflow is the fault raised by a store that runs past the region's
 // configured end.

@@ -1,6 +1,7 @@
 package ic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,6 +154,34 @@ func TestDisassembly(t *testing.T) {
 		if got := in.String(); got != want {
 			t.Errorf("got %q, want %q", got, want)
 		}
+	}
+}
+
+// TestNameTablesOutOfRange: a value past a name table prints as "Type(n)"
+// instead of panicking inside fmt, so a hand-built or corrupt instruction
+// still disassembles.
+func TestNameTablesOutOfRange(t *testing.T) {
+	cases := []struct {
+		got  fmt.Stringer
+		want string
+	}{
+		{ClassSys, "sys"},
+		{NumClasses, "Class(5)"},
+		{Class(255), "Class(255)"},
+		{CondGe, "ge"},
+		{Cond(6), "Cond(6)"},
+		{SysFault, "fault"},
+		{SysID(9), "SysID(9)"},
+		{RegionBall, "ball"},
+		{Region(7), "Region(7)"},
+	}
+	for _, c := range cases {
+		if s := c.got.String(); s != c.want {
+			t.Errorf("got %q, want %q", s, c.want)
+		}
+	}
+	if got, want := (&Inst{Op: SysOp, Sys: 9}).String(), "sys   SysID(9) h"; got != want {
+		t.Errorf("disassembly %q, want %q", got, want)
 	}
 }
 

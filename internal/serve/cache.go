@@ -171,7 +171,7 @@ func (c *engineCache) getPinned(kbName, kbSrc, goal string) (*symbol.Engine, fun
 				return
 			}
 		}
-		prog, err := symbol.CompileQuery(kbSrc, goal)
+		prog, err := symbol.Load(context.Background(), []byte(kbSrc), symbol.WithGoal(goal))
 		if err != nil {
 			e.err = err
 			e.failedAt.Store(time.Now().UnixNano())

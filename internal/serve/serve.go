@@ -48,7 +48,7 @@ import (
 // withDefaults; all durations are per-request unless noted.
 type Config struct {
 	// MaxInFlight bounds concurrently executing queries (default
-	// GOMAXPROCS: the engine's RunAll fan-out width).
+	// GOMAXPROCS: the engine's RunBatch fan-out width).
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for an execution slot (default
 	// 4×MaxInFlight). Beyond it requests shed with 429 queue_full.

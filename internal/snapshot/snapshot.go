@@ -83,8 +83,8 @@ func SectionName(id uint32) string {
 type Kind uint8
 
 const (
-	KindProgram Kind = 1 // whole-program compile (symbol.Load / Compile)
-	KindQuery   Kind = 2 // kb + synthesized goal (symbol.CompileQuery)
+	KindProgram Kind = 1 // whole-program compile (symbol.Load)
+	KindQuery   Kind = 2 // kb + synthesized goal (Load with WithGoal)
 )
 
 // ErrNotSnapshot reports input that does not begin with the container

@@ -80,10 +80,7 @@ main :- member(M, [1,2]), write(M), nl.
 }
 
 func TestLibraryPredicatesNotUndefined(t *testing.T) {
-	prog, err := Compile(`main :- between(1, 3, X), X > 1, write(X), nl.`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, `main :- between(1, 3, X), X > 1, write(X), nl.`)
 	if u := prog.Undefined(); len(u) != 0 {
 		t.Fatalf("library predicates reported undefined: %v", u)
 	}

@@ -36,7 +36,7 @@ func WithCompileOptions(opts Options) LoadOption {
 // becomes the body of a synthetic main/0 clause that, on success, writes
 // one "Var = value" line per named goal variable (or "yes" when the goal
 // has none). Prolog failure surfaces as Result.Succeeded == false, not as
-// an error; RunContext gives the first solution and Engine.Query streams
+// an error; Program.Run gives the first solution and Engine.Query streams
 // them all. Any main/0 clauses the knowledge base itself defines are
 // dropped first — the posed goal is the query, and must not be shadowed by
 // the program's own entry point. The goal may be written with or without
@@ -83,8 +83,7 @@ func WithoutRecompileFallback() LoadOption {
 //     falls back to recompiling the snapshot's embedded source unless
 //     WithoutRecompileFallback is set.
 //
-// Snapshots are produced by Program.Snapshot / Program.WriteSnapshot, or
-// offline with symbolc -o.
+// Snapshots are produced by Program.Snapshot, or offline with symbolc -o.
 func Load(ctx context.Context, src []byte, opts ...LoadOption) (_ *Program, err error) {
 	defer guard(&err)
 	cfg := loadConfig{opts: DefaultOptions()}
@@ -129,8 +128,8 @@ func loadSnapshot(data []byte, cfg loadConfig) (*Program, error) {
 }
 
 // programFromImage wraps a decoded snapshot image as a Program, installing
-// the predecoded exec streams and the embedded profile so later RunContext
-// and ScheduleWith calls skip that work too.
+// the predecoded exec streams and the embedded profile so later Run and
+// ScheduleWith calls skip that work too.
 func programFromImage(img *snapshot.Image) *Program {
 	p := &Program{
 		opts:      Options{ArithChecks: img.Arith, MaxSteps: img.MaxSteps},
@@ -252,12 +251,6 @@ func (p *Program) Snapshot() []byte {
 		img.ProfTaken = p.profile.Taken
 	}
 	return snapshot.Encode(img)
-}
-
-// WriteSnapshot writes Snapshot() to w, returning the byte count written.
-func (p *Program) WriteSnapshot(w io.Writer) (int64, error) {
-	n, err := w.Write(p.Snapshot())
-	return int64(n), err
 }
 
 // Snapshot error types, re-exported so callers can match them without

@@ -45,10 +45,7 @@ func TestStatsParity(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			prog, err := Compile(b.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
+			prog := mustLoad(t, b.Source)
 
 			// Oracle: the reference interpreter's Expect vector, classified
 			// statically. The reference interpreter also counts choice
@@ -96,16 +93,13 @@ func TestStatsParity(t *testing.T) {
 // every per-run Stats the engine returned, and the outcome counters balance.
 // Under `go test -race` this also exercises the lock-free recording paths.
 func TestEngineMetricsTotals(t *testing.T) {
-	prog, err := Compile(`
+	prog := mustLoad(t, `
 		nrev([], []).
 		nrev([H|T], R) :- nrev(T, RT), app(RT, [H], R).
 		app([], Y, Y).
 		app([H|T], Y, [H|Z]) :- app(T, Y, Z).
 		main :- nrev([1,2,3,4,5,6,7,8,9,10], R), write(R), nl.
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := NewEngine(prog)
 	const workers, perWorker = 8, 16
 
@@ -186,10 +180,7 @@ func TestEngineMetricsTotals(t *testing.T) {
 // marshals to JSON (the expvar shape) and WriteTo emits Prometheus text
 // with the expected series.
 func TestMetricsExposition(t *testing.T) {
-	prog, err := Compile(`main :- write(hi), nl.`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, `main :- write(hi), nl.`)
 	eng := NewEngine(prog)
 	if _, err := eng.Run(context.Background(), RunOptions{}); err != nil {
 		t.Fatal(err)
@@ -225,18 +216,15 @@ func TestMetricsExposition(t *testing.T) {
 	eng.PublishExpvar("symbol_test_engine_" + t.Name())
 }
 
-// TestRunContextAPI exercises the context-first entry points and the
-// functional options built on them.
+// TestRunContextAPI exercises Program.Run, the context-first one-off run,
+// under tracing, area sizes, step budgets and cancellation.
 func TestRunContextAPI(t *testing.T) {
-	prog, err := Compile(`
+	prog := mustLoad(t, `
 		color(red). color(green). color(blue).
 		main :- color(C), C = blue, write(C), nl.
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	res, err := prog.RunContext(context.Background(), WithTrace(64), WithHeapWords(1<<16))
+	res, err := prog.Run(context.Background(), RunOptions{TraceEvents: 64, HeapWords: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +238,7 @@ func TestRunContextAPI(t *testing.T) {
 		t.Errorf("backtracking program created no choice points: %+v", res.Stats)
 	}
 	if len(res.Events) == 0 {
-		t.Fatal("WithTrace(64) produced no events")
+		t.Fatal("TraceEvents: 64 produced no events")
 	}
 	var pushes, halts int
 	for _, e := range res.Events {
@@ -268,25 +256,22 @@ func TestRunContextAPI(t *testing.T) {
 		t.Errorf("Result.String() = %q, want mix table", got)
 	}
 
-	// WithMaxSteps surfaces the usual typed fault.
-	if _, err := prog.RunContext(context.Background(), WithMaxSteps(3)); !errors.Is(err, ErrStepLimit) {
-		t.Errorf("WithMaxSteps(3): err=%v, want ErrStepLimit", err)
+	// MaxSteps surfaces the usual typed fault.
+	if _, err := prog.Run(context.Background(), RunOptions{MaxSteps: 3}); !errors.Is(err, ErrStepLimit) {
+		t.Errorf("MaxSteps: 3: err=%v, want ErrStepLimit", err)
 	}
 
 	// A cancelled context aborts the run (polled every CheckInterval steps,
 	// so use a program that cannot finish on its own).
-	spin, err := Compile(`loop :- loop. main :- loop.`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spin := mustLoad(t, `loop :- loop. main :- loop.`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := spin.RunContext(ctx); !errors.Is(err, ErrCanceled) {
+	if _, err := spin.Run(ctx, RunOptions{}); !errors.Is(err, ErrCanceled) {
 		t.Errorf("cancelled ctx: err=%v, want ErrCanceled", err)
 	}
 
 	// Tracing must not perturb the numbers the fast path reports.
-	plain, err := prog.RunContext(context.Background())
+	plain, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,19 +280,16 @@ func TestRunContextAPI(t *testing.T) {
 	}
 }
 
-// TestSimulateContextStats checks that the VLIW path carries the same Stats
-// record: cycles populated, classes summing to issued ops, and the mix
-// table rendering through SimResult.String.
+// TestSimulateContextStats checks that Program.Simulate, the VLIW path,
+// carries the same Stats record: cycles populated, classes summing to
+// issued ops, and the mix table rendering through SimResult.String.
 func TestSimulateContextStats(t *testing.T) {
-	prog, err := Compile(`
+	prog := mustLoad(t, `
 		app([], Y, Y).
 		app([H|T], Y, [H|Z]) :- app(T, Y, Z).
 		main :- app([1,2,3], [4], R), write(R), nl.
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := prog.SimulateContext(context.Background(), WithTrace(32))
+	sim, err := prog.Simulate(context.Background(), RunOptions{TraceEvents: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +306,7 @@ func TestSimulateContextStats(t *testing.T) {
 		t.Errorf("class sum %d != steps %d", sum, sim.Stats.Steps)
 	}
 	if len(sim.Events) == 0 {
-		t.Error("WithTrace(32) produced no VLIW events")
+		t.Error("TraceEvents: 32 produced no VLIW events")
 	}
 	if got := sim.String(); !strings.Contains(got, "memory") {
 		t.Errorf("SimResult.String() = %q, want mix table", got)
@@ -334,19 +316,16 @@ func TestSimulateContextStats(t *testing.T) {
 // TestScheduleWithOptions checks the functional-option scheduling entry
 // point against the struct form it wraps.
 func TestScheduleWithOptions(t *testing.T) {
-	prog, err := Compile(`
+	prog := mustLoad(t, `
 		app([], Y, Y).
 		app([H|T], Y, [H|Z]) :- app(T, Y, Z).
 		main :- app([1,2], [3], R), write(R), nl.
 	`)
-	if err != nil {
-		t.Fatal(err)
-	}
 	a, err := prog.ScheduleWith(DefaultMachine(3), WithBasicBlocksOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{BasicBlocksOnly: true})
+	b, err := prog.ScheduleWith(DefaultMachine(3), WithBasicBlocksOnly())
 	if err != nil {
 		t.Fatal(err)
 	}

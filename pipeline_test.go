@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,11 +9,8 @@ import (
 // run compiles and executes src, expecting success, and returns the output.
 func run(t *testing.T, src string) string {
 	t.Helper()
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	res, err := prog.Run()
+	prog := mustLoad(t, src)
+	res, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatalf("run: %v\nBAM:\n%s", err, prog.BAMListing())
 	}
@@ -25,11 +23,8 @@ func run(t *testing.T, src string) string {
 // expectFail compiles and executes src, expecting main/0 to fail.
 func expectFail(t *testing.T, src string) {
 	t.Helper()
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	res, err := prog.Run()
+	prog := mustLoad(t, src)
+	res, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -301,14 +296,11 @@ main :- write(f(g(h(1,2)), [a,[b],c|d])), nl, write([]), nl.
 }
 
 func TestUndefinedPredicateFails(t *testing.T) {
-	prog, err := Compile(`main :- nosuchpred(1).`)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	prog := mustLoad(t, `main :- nosuchpred(1).`)
 	if len(prog.Undefined()) != 1 {
 		t.Fatalf("expected one undefined predicate, got %v", prog.Undefined())
 	}
-	res, err := prog.Run()
+	res, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,17 +315,14 @@ func TestCompileErrors(t *testing.T) {
 		`main :- X is foo + 1.`, // bad arithmetic
 	}
 	for _, src := range bad {
-		if _, err := Compile(src); err == nil {
+		if _, err := Load(context.Background(), []byte(src)); err == nil {
 			t.Errorf("expected compile error for %q", src)
 		}
 	}
 }
 
 func TestListingsNonEmpty(t *testing.T) {
-	prog, err := Compile(`main :- write(hi), nl.`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, `main :- write(hi), nl.`)
 	if !strings.Contains(prog.BAMListing(), "procedure main/0") {
 		t.Error("BAM listing missing procedure header")
 	}

@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -39,11 +40,8 @@ partition([X|L], Y, L1, [X|L2]) :- partition(L, Y, L1, L2).
 			xs[j] = rng.Intn(200) - 100
 		}
 		src := prelude + fmt.Sprintf("main :- qsort(%s, S, []), write(S), nl.\n", listLiteral(xs))
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		res, err := prog.Run()
+		prog := mustLoad(t, src)
+		res, err := prog.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -54,7 +52,7 @@ partition([X|L], Y, L1, [X|L2]) :- partition(L, Y, L1, L2).
 		}
 		// Spot-check VLIW equivalence on a few cases.
 		if i%4 == 0 {
-			sched, err := prog.Schedule(DefaultMachine(3), ScheduleOptions{})
+			sched, err := prog.ScheduleWith(DefaultMachine(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,11 +107,8 @@ main :- ( %s = %s  -> write(u1) ; write(n1) ),
         ( %s = %s  -> write(u2) ; write(n2) ),
         ( %s == %s -> write(e1) ; write(d1) ), nl.
 `, t1, t2, t2, t1, t1, t2)
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatalf("case %d (%s = %s): %v", i, t1, t2, err)
-		}
-		res, err := prog.Run()
+		prog := mustLoad(t, src)
+		res, err := prog.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -143,11 +138,8 @@ main :- T = %s,
         ( A1 == A1x -> write(a_ok) ; write(a_bad) ),
         N =:= 3, nl.
 `, tm)
-		prog, err := Compile(src)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		res, err := prog.Run()
+		prog := mustLoad(t, src)
+		res, err := prog.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatalf("case %d (%s): %v", i, tm, err)
 		}
@@ -163,20 +155,14 @@ func TestPropertyWriteReadStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 20; i++ {
 		tm := randTerm(rng, 3)
-		p1, err := Compile(fmt.Sprintf("main :- write(%s), nl.", tm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := p1.Run()
+		p1 := mustLoad(t, fmt.Sprintf("main :- write(%s), nl.", tm))
+		r1, err := p1.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		printed := strings.TrimSpace(r1.Output)
-		p2, err := Compile(fmt.Sprintf("main :- ( %s == %s -> write(ok) ; write(bad) ), nl.", tm, printed))
-		if err != nil {
-			t.Fatalf("case %d: reparse %q: %v", i, printed, err)
-		}
-		r2, err := p2.Run()
+		p2 := mustLoad(t, fmt.Sprintf("main :- ( %s == %s -> write(ok) ; write(bad) ), nl.", tm, printed))
+		r2, err := p2.Run(context.Background(), RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

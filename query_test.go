@@ -1,12 +1,13 @@
 package symbol
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 // TestCompileQueryTerminators is the regression table for the trailing-"."
-// normalization bug: CompileQuery used to bolt a "." onto any goal whose
+// normalization bug: loading WithGoal used to bolt a "." onto any goal whose
 // last byte wasn't one, which double-terminated goals ending in a quoted
 // atom and mis-terminated goals ending in a % comment. Termination now goes
 // through the parser: parse as written, retry with a terminator on its own
@@ -39,7 +40,7 @@ q('a.b').
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			prog, err := CompileQuery(kb, c.goal)
+			prog, err := Load(context.Background(), []byte(kb), WithGoal(c.goal))
 			if c.want == "" {
 				if err == nil {
 					t.Fatalf("goal %q compiled, want error", c.goal)
@@ -49,7 +50,7 @@ q('a.b').
 			if err != nil {
 				t.Fatalf("goal %q: %v", c.goal, err)
 			}
-			res, err := prog.Run()
+			res, err := prog.Run(context.Background(), RunOptions{})
 			if err != nil {
 				t.Fatalf("goal %q run: %v", c.goal, err)
 			}
@@ -68,11 +69,8 @@ func TestCompileQueryDropsMain(t *testing.T) {
 main :- write(wrong), nl.
 p(ok).
 `
-	prog, err := CompileQuery(kb, "p(X)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := prog.Run()
+	prog := mustLoad(t, kb, WithGoal("p(X)"))
+	res, err := prog.Run(context.Background(), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ type SimResult struct {
 	Stats
 
 	// Events holds the traced executor milestones when the run asked for
-	// them (WithTrace / RunOptions.TraceEvents). The VLIW trace is an
+	// them (RunOptions.TraceEvents). The VLIW trace is an
 	// approximate stream: it records the milestones the simulator can see
 	// inline (calls, throws, choice-point pushes, fails, faults, halt).
 	Events        []Event
@@ -166,7 +166,7 @@ func (s *Scheduled) Simulate() (*SimResult, error) {
 }
 
 // SimulateWith runs the compacted program under explicit resource bounds,
-// with the same typed-fault and catch/3 semantics as Program.RunWith.
+// with the same typed-fault and catch/3 semantics as Program.Run.
 func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 	defer guard(&err)
 	if err := opts.Validate(); err != nil {

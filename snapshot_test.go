@@ -67,7 +67,7 @@ func TestSnapshotRoundTripCorpus(t *testing.T) {
 			if loaded.Goal() != "" {
 				t.Fatalf("program snapshot has goal %q", loaded.Goal())
 			}
-			res, err := loaded.RunContext(ctx)
+			res, err := loaded.Run(ctx, symbol.RunOptions{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -143,11 +143,11 @@ func TestSnapshotQueryRoundTrip(t *testing.T) {
 	if loaded.Source() != kb {
 		t.Fatalf("source = %q", loaded.Source())
 	}
-	want, err := orig.RunContext(ctx)
+	want, err := orig.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		t.Fatalf("compiled run: %v", err)
 	}
-	got, err := loaded.RunContext(ctx)
+	got, err := loaded.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		t.Fatalf("snapshot run: %v", err)
 	}
@@ -176,8 +176,8 @@ func TestSnapshotFaultParity(t *testing.T) {
 	for _, mode := range []symbol.Dispatch{
 		symbol.DispatchLegacy, symbol.DispatchNoFuse, symbol.DispatchFused,
 	} {
-		_, werr := orig.RunContext(ctx, symbol.WithDispatch(mode))
-		_, gerr := loaded.RunContext(ctx, symbol.WithDispatch(mode))
+		_, werr := orig.Run(ctx, symbol.RunOptions{Dispatch: mode})
+		_, gerr := loaded.Run(ctx, symbol.RunOptions{Dispatch: mode})
 		if werr == nil || gerr == nil {
 			t.Fatalf("%v: expected zero-divide fault, got %v / %v", mode, werr, gerr)
 		}
@@ -343,7 +343,7 @@ func TestSnapshotVersionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fallback load: %v", err)
 	}
-	res, err := prog.RunContext(ctx)
+	res, err := prog.Run(ctx, symbol.RunOptions{})
 	if err != nil {
 		t.Fatalf("fallback run: %v", err)
 	}
@@ -381,7 +381,7 @@ func TestSnapshotCache(t *testing.T) {
 
 	// Hit: same inputs, file untouched, program still correct.
 	p2 := load()
-	res, err := p2.RunContext(ctx)
+	res, err := p2.Run(ctx, symbol.RunOptions{})
 	if err != nil || res.Output != b.Expect {
 		t.Fatalf("cached run = %q, %v; want %q", res.Output, err, b.Expect)
 	}
@@ -395,7 +395,7 @@ func TestSnapshotCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	p3 := load()
-	if res, err := p3.RunContext(ctx); err != nil || res.Output != b.Expect {
+	if res, err := p3.Run(ctx, symbol.RunOptions{}); err != nil || res.Output != b.Expect {
 		t.Fatalf("run after corrupt cache = %v, %v", res, err)
 	}
 	repaired, err := os.ReadFile(files[0])

@@ -16,7 +16,7 @@ import (
 // Solutions streams the answers of one query, one solution per Next call,
 // in the style of database/sql.Rows:
 //
-//	sols, err := eng.QueryContext(ctx)
+//	sols, err := eng.Query(ctx, symbol.RunOptions{})
 //	if err != nil { ... }
 //	defer sols.Close()
 //	for sols.Next() {

@@ -15,10 +15,7 @@ import (
 // is nil (nothing terminated the stream), and closing the unstarted stream
 // settles the metrics exactly once and recycles the state.
 func TestSolutionsAccessorsBeforeNext(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -50,10 +47,7 @@ func TestSolutionsAccessorsBeforeNext(t *testing.T) {
 // (nil here). Repeated Close calls return the same answer and settle the
 // metrics only once.
 func TestSolutionsNextAfterClose(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -92,10 +86,7 @@ func TestSolutionsNextAfterClose(t *testing.T) {
 // 4-solution streams; -race would flag a shared state), and the engine
 // must settle every run exactly once.
 func TestSolutionsDoubleCloseSingleRelease(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -150,10 +141,7 @@ func TestSolutionsDoubleCloseSingleRelease(t *testing.T) {
 // Err and Close keep returning that same error on every call, and Next
 // stays false — the terminal error is sticky, not one-shot.
 func TestSolutionsErrAfterFaultStable(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{MaxSteps: 1})
 	if err != nil {

@@ -16,14 +16,11 @@ app([H|T], L, [H|R]) :- app(T, L, R).
 
 // streamAll drains a fresh stream of goal against kb under opts, returning
 // the per-solution results. Fatal on compile or stream errors.
-func streamAll(t *testing.T, kb, goal string, opts ...RunOption) []*Result {
+func streamAll(t *testing.T, kb, goal string, opts RunOptions) []*Result {
 	t.Helper()
-	prog, err := CompileQuery(kb, goal)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, kb, WithGoal(goal))
 	eng := NewEngine(prog)
-	sols, err := eng.QueryContext(context.Background(), opts...)
+	sols, err := eng.Query(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func streamAll(t *testing.T, kb, goal string, opts ...RunOption) []*Result {
 // of a nondeterministic goal arrives exactly once, in backtracking order,
 // with per-solution Output and cumulative Steps.
 func TestQueryStreamsSolutions(t *testing.T) {
-	sols := streamAll(t, streamKB, "app(X, Y, [1,2,3])")
+	sols := streamAll(t, streamKB, "app(X, Y, [1,2,3])", RunOptions{})
 	want := []string{
 		"X = []\nY = [1,2,3]\n",
 		"X = [1]\nY = [2,3]\n",
@@ -78,15 +75,15 @@ func TestQueryStreamDifferential(t *testing.T) {
 	}
 	modes := []struct {
 		name string
-		opts []RunOption
+		opts RunOptions
 	}{
-		{"fused", nil},
-		{"nofuse", []RunOption{WithDispatch(DispatchNoFuse)}},
-		{"legacy", []RunOption{WithTrace(4)}},
+		{"fused", RunOptions{}},
+		{"nofuse", RunOptions{Dispatch: DispatchNoFuse}},
+		{"legacy", RunOptions{TraceEvents: 4}},
 	}
 	var ref []*Result
 	for _, m := range modes {
-		sols := streamAll(t, b.Source, "queens(8, Qs)", m.opts...)
+		sols := streamAll(t, b.Source, "queens(8, Qs)", m.opts)
 		if len(sols) != 92 {
 			t.Fatalf("%s: got %d solutions, want 92", m.name, len(sols))
 		}
@@ -111,10 +108,7 @@ func TestQueryStreamDifferential(t *testing.T) {
 // API: the first streamed solution is byte- and step-identical to
 // Engine.Run of the same program.
 func TestQueryFirstSolutionMatchesRun(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	one, err := eng.Run(context.Background(), RunOptions{})
 	if err != nil {
@@ -139,10 +133,7 @@ func TestQueryFirstSolutionMatchesRun(t *testing.T) {
 // stream mid-way settles the engine's metrics exactly once, frees the
 // in-flight slot, and recycles the pooled state for later runs.
 func TestSolutionsCloseReleasesState(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -187,10 +178,7 @@ func TestSolutionsCloseReleasesState(t *testing.T) {
 // under -race: pooled state recycling must stay consistent and the engine
 // must end fully idle with exact metrics.
 func TestSolutionsAbandonStress(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3,4,5])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3,4,5])"))
 	eng := NewEngine(prog)
 	const streams = 24
 	done := make(chan error, streams)
@@ -230,10 +218,7 @@ func TestSolutionsAbandonStress(t *testing.T) {
 // first solutions must still abort the stream once the cumulative count
 // crosses it.
 func TestSolutionsMaxStepsSpansResumes(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3,4,5,6,7,8])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3,4,5,6,7,8])"))
 	eng := NewEngine(prog)
 
 	// Measure the unconstrained stream to pick a budget that lands
@@ -276,10 +261,7 @@ func TestSolutionsMaxStepsSpansResumes(t *testing.T) {
 // stream is suspended aborts the next resume as the typed canceled fault
 // and settles the stream.
 func TestSolutionsCancelBetweenSolutions(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	ctx, cancel := context.WithCancel(context.Background())
 	sols, err := eng.Query(ctx, RunOptions{})
@@ -306,10 +288,7 @@ func TestSolutionsCancelBetweenSolutions(t *testing.T) {
 // keeps working when re-attached to a live context — the embedding pattern
 // behind paginated serving.
 func TestSolutionsAttachRebinds(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -342,10 +321,7 @@ func TestSolutionsAttachRebinds(t *testing.T) {
 // TestSolutionsNoSolution: a goal with no answers yields an empty stream
 // with nil Err, and settles as a no-solution run.
 func TestSolutionsNoSolution(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app([9], _, [1,2])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app([9], _, [1,2])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -368,10 +344,7 @@ func TestSolutionsNoSolution(t *testing.T) {
 // TestSolutionsAllIterator exercises the range-over-func adapter,
 // including early break (which must Close the stream).
 func TestSolutionsAllIterator(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {
@@ -402,10 +375,7 @@ func TestSolutionsAllIterator(t *testing.T) {
 // the settled totals cover the whole stream — Wall counts execution only,
 // so a long suspension between Next calls must not inflate it.
 func TestSolutionsStatsCumulative(t *testing.T) {
-	prog, err := CompileQuery(streamKB, "app(X, Y, [1,2,3])")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := mustLoad(t, streamKB, WithGoal("app(X, Y, [1,2,3])"))
 	eng := NewEngine(prog)
 	sols, err := eng.Query(context.Background(), RunOptions{})
 	if err != nil {

@@ -9,35 +9,36 @@
 //	             → global compaction (trace scheduling)
 //	             → VLIW simulation (cycles per configuration)
 //
-// Quick start:
+// Each job has one entry point:
 //
-//	prog, err := symbol.Load(ctx, src)            // Prolog source or snapshot
-//	res, err := prog.RunContext(ctx)              // sequential answers
-//	fmt.Print(res.Stats)                          // paper-style op-class mix
-//	prof, err := prog.Profile()                   // Expect / Probability
+//	prog, err := symbol.Load(ctx, src)                  // Prolog source or snapshot
+//	res, err := prog.Run(ctx, symbol.RunOptions{})      // sequential answers
+//	fmt.Print(res.Stats)                                // paper-style op-class mix
 //	sched, err := prog.ScheduleWith(symbol.DefaultMachine(3))
-//	sim, err := prog.SimulateContext(ctx)         // measured VLIW cycles
+//	sim, err := prog.Simulate(ctx, symbol.RunOptions{}) // measured VLIW cycles
 //
-// Load is the single compile/load entry point: it accepts Prolog source or
-// a binary snapshot (sniffed by magic header), compiles queries against a
-// knowledge base via WithGoal, and skips compilation entirely through
-// WithSnapshotCache. Programs round-trip through prog.Snapshot() and
-// symbolc -o prog.sym. The older Compile/CompileQuery/Run generations
-// survive as thin deprecated wrappers in deprecated.go.
+// Load accepts Prolog source or a binary snapshot (sniffed by magic
+// header), compiles queries against a knowledge base via WithGoal, and
+// skips compilation entirely through WithSnapshotCache. Programs
+// round-trip through prog.Snapshot() and symbolc -o prog.sym.
 //
-// Runs accept functional options:
+// RunOptions bounds a run; its zero value means the defaults:
 //
-//	res, err := prog.RunContext(ctx,
-//	    symbol.WithMaxSteps(1e6),
-//	    symbol.WithHeapWords(64<<10),
-//	    symbol.WithTrace(256))                    // keep last 256 events
+//	res, err := prog.Run(ctx, symbol.RunOptions{
+//	    MaxSteps:    1e6,
+//	    HeapWords:   64 << 10,
+//	    TraceEvents: 256, // keep the last 256 events
+//	})
 //
-// For serving many queries, build an Engine (recycled machine state,
-// engine-wide metrics):
+// Program.Run and Program.Simulate build a throwaway Engine per call. For
+// serving many queries, build an Engine once (recycled machine state,
+// engine-wide metrics, a schedule computed once) and stream every answer
+// of a query with Engine.Query:
 //
 //	eng := symbol.NewEngine(prog)
 //	res, err := eng.Run(ctx, symbol.RunOptions{})
-//	eng.WriteMetrics(os.Stdout)                   // Prometheus text format
+//	sols, err := eng.Query(ctx, symbol.RunOptions{})
+//	eng.WriteMetrics(os.Stdout) // Prometheus text format
 package symbol
 
 import (
@@ -66,7 +67,7 @@ import (
 type Stats = obs.Stats
 
 // Event is one traced executor milestone; EventKind enumerates the kinds.
-// Events are collected only when a run opts in via WithTrace /
+// Events are collected only when a run opts in via
 // RunOptions.TraceEvents.
 type (
 	Event     = obs.Event
@@ -209,56 +210,6 @@ type RunOptions struct {
 	TraceEvents int
 }
 
-// RunOption mutates RunOptions; the With* constructors below are the
-// context-first way to configure RunContext and SimulateContext.
-type RunOption func(*RunOptions)
-
-// WithMaxSteps bounds the sequential ICI budget.
-func WithMaxSteps(n int64) RunOption { return func(o *RunOptions) { o.MaxSteps = n } }
-
-// WithMaxCycles bounds the VLIW cycle budget.
-func WithMaxCycles(n int64) RunOption { return func(o *RunOptions) { o.MaxCycles = n } }
-
-// WithDeadline sets a wall-clock bound (contexts with deadlines tighten it
-// further).
-func WithDeadline(t time.Time) RunOption { return func(o *RunOptions) { o.Deadline = t } }
-
-// WithHeapWords sizes the heap area in words.
-func WithHeapWords(n int64) RunOption { return func(o *RunOptions) { o.HeapWords = n } }
-
-// WithEnvWords sizes the environment stack in words.
-func WithEnvWords(n int64) RunOption { return func(o *RunOptions) { o.EnvWords = n } }
-
-// WithCPWords sizes the choice-point stack in words.
-func WithCPWords(n int64) RunOption { return func(o *RunOptions) { o.CPWords = n } }
-
-// WithTrailWords sizes the trail in words.
-func WithTrailWords(n int64) RunOption { return func(o *RunOptions) { o.TrailWords = n } }
-
-// WithPDLWords sizes the unification push-down list in words.
-func WithPDLWords(n int64) RunOption { return func(o *RunOptions) { o.PDLWords = n } }
-
-// WithDispatch selects the sequential emulator's execution core for the run
-// (see Dispatch).
-func WithDispatch(d Dispatch) RunOption { return func(o *RunOptions) { o.Dispatch = d } }
-
-// WithTrace keeps the run's last n executor milestone events (see
-// RunOptions.TraceEvents).
-func WithTrace(n int) RunOption { return func(o *RunOptions) { o.TraceEvents = n } }
-
-// WithOptions replaces the whole option struct, for callers that already
-// hold a RunOptions value; later options still apply on top.
-func WithOptions(opts RunOptions) RunOption { return func(o *RunOptions) { *o = opts } }
-
-// buildRunOptions folds functional options into a RunOptions value.
-func buildRunOptions(opts []RunOption) RunOptions {
-	var o RunOptions
-	for _, f := range opts {
-		f(&o)
-	}
-	return o
-}
-
 // OptionError reports a RunOptions field holding a nonsensical value (for
 // example a negative area size or budget). It is returned before any
 // machine state is touched, so an invalid request can never fault or panic
@@ -343,7 +294,7 @@ type Program struct {
 	icp       *ic.Program
 	undefined []string
 	src       string // source text (embedded in snapshots; "" if unavailable)
-	goal      string // query goal for CompileQuery/WithGoal programs
+	goal      string // query goal for programs loaded WithGoal
 
 	profOnce  sync.Once
 	profile   *emu.Profile
@@ -352,9 +303,10 @@ type Program struct {
 }
 
 // compileClauses is the shared back half of compilation: parsed clauses →
-// BAM → ICI → Program. Every compile path (Load on source, the deprecated
-// Compile/CompileQuery wrappers) ends here. src and goal are recorded on
-// the Program so snapshots can embed them for the recompile fallback.
+// BAM → ICI → Program. Every source compile (Load, with or without
+// WithGoal, and the snapshot version-skew fallback) ends here. src and goal
+// are recorded on the Program so snapshots can embed them for the recompile
+// fallback.
 func compileClauses(clauses []term.Term, opts Options, src, goal string) (*Program, error) {
 	c := compile.New(compile.Options{ArithChecks: opts.ArithChecks})
 	if err := c.AddProgram(clauses); err != nil {
@@ -384,8 +336,8 @@ func (p *Program) Undefined() []string { return p.undefined }
 // snapshot written without an embedded source section.
 func (p *Program) Source() string { return p.src }
 
-// Goal returns the query goal for programs built by Load's WithGoal (or
-// the deprecated CompileQuery), and "" for whole-program compiles.
+// Goal returns the query goal for programs built by Load's WithGoal, and
+// "" for whole-program compiles.
 func (p *Program) Goal() string { return p.goal }
 
 // BAMListing returns the BAM assembly produced by the front end, or "" for
@@ -407,22 +359,22 @@ func (p *Program) IC() *ic.Program { return p.icp }
 // CodeSize returns the number of static ICIs.
 func (p *Program) CodeSize() int { return len(p.icp.Code) }
 
-// RunContext executes the program sequentially under ctx and the given
-// options, on a throwaway single-use engine. Cancelling ctx aborts the run
-// with ErrCanceled; a ctx deadline tightens WithDeadline. This is the
-// preferred entry point for one-off runs; for serving many queries build an
-// Engine once and reuse it.
-func (p *Program) RunContext(ctx context.Context, opts ...RunOption) (*Result, error) {
-	return NewEngine(p).Run(ctx, buildRunOptions(opts))
+// Run executes the program sequentially under ctx and opts on a throwaway
+// single-use engine: it is NewEngine(p).Run(ctx, opts). Cancelling ctx
+// aborts the run with ErrCanceled; a ctx deadline tightens opts.Deadline.
+// Resource faults surface as typed errors (errors.Is against
+// ErrHeapOverflow and friends) unless the program catches them with
+// catch/3. For serving many queries build an Engine once and reuse it.
+func (p *Program) Run(ctx context.Context, opts RunOptions) (*Result, error) {
+	return NewEngine(p).Run(ctx, opts)
 }
 
-// SimulateContext schedules the program for the paper's default 3-unit
-// machine (on first use of the throwaway engine) and runs it on the
-// cycle-level VLIW simulator under ctx and the given options. For repeated
-// simulation, build an Engine with NewEngineConfig and reuse it so the
-// schedule is computed once.
-func (p *Program) SimulateContext(ctx context.Context, opts ...RunOption) (*SimResult, error) {
-	return NewEngine(p).Simulate(ctx, buildRunOptions(opts))
+// Simulate schedules the program for the paper's default 3-unit machine
+// and runs it on the cycle-level VLIW simulator under ctx and opts: it is
+// NewEngine(p).Simulate(ctx, opts). Each call schedules afresh; for
+// repeated simulation reuse one Engine, which schedules once.
+func (p *Program) Simulate(ctx context.Context, opts RunOptions) (*SimResult, error) {
+	return NewEngine(p).Simulate(ctx, opts)
 }
 
 // Result is the observable outcome of a program run.
@@ -440,7 +392,7 @@ type Result struct {
 	Stats
 
 	// Events holds the traced executor milestones when the run asked for
-	// them (WithTrace / RunOptions.TraceEvents); EventsDropped counts older
+	// them (RunOptions.TraceEvents); EventsDropped counts older
 	// events evicted from the bounded ring.
 	Events        []Event
 	EventsDropped int64
