@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"symbol/internal/emu"
-	"symbol/internal/exec"
 	"symbol/internal/fault"
 	"symbol/internal/ic"
 	"symbol/internal/obs"
@@ -48,20 +47,6 @@ type Engine struct {
 // needs) happens lazily on the first Simulate call.
 func NewEngine(p *Program) *Engine {
 	return &Engine{prog: p}
-}
-
-// Footprint estimates the bytes the engine owns: the compiled code and,
-// once a run has built them, the predecoded execution streams. Machine
-// states are not counted: between runs they sit on the process-wide idle
-// list, owned by no engine.
-func (e *Engine) Footprint() int64 {
-	n := int64(len(e.prog.icp.Code)) * 64 // ic.Inst stream + symbol tables, nominal
-	if img := e.prog.icp.ExecCached(); img != nil {
-		if xp, ok := img.(*exec.Program); ok {
-			n += xp.SizeBytes()
-		}
-	}
-	return n
 }
 
 // Program returns the compiled program the engine serves.

@@ -311,29 +311,3 @@ func TestRunBatchPerEntryCancel(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineFootprint: a never-run engine's footprint is code-only; the
-// first run builds the predecoded streams, which the estimate then counts,
-// and the figure never decreases across runs. Machine states are not
-// counted: engines hold none between runs.
-func TestEngineFootprint(t *testing.T) {
-	prog := mustLoad(t, engineSrc)
-	eng := NewEngine(prog)
-	cold := eng.Footprint()
-	if cold <= 0 {
-		t.Fatalf("cold footprint = %d, want > 0 (code bytes)", cold)
-	}
-	if _, err := eng.Run(context.Background(), RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	warm := eng.Footprint()
-	if warm <= cold {
-		t.Fatalf("warm footprint = %d, want > cold %d (the predecoded streams were built)", warm, cold)
-	}
-	if _, err := eng.Run(context.Background(), RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if again := eng.Footprint(); again < warm {
-		t.Fatalf("footprint decreased %d -> %d; the estimate must be monotone", warm, again)
-	}
-}

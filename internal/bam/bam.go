@@ -259,6 +259,8 @@ type Unit struct {
 	// NextTemp is the first virtual register not used by the compiler; the
 	// translator continues minting temporaries from here.
 	NextTemp ic.Reg
+	// Entry is the procedure the machine starts in ("main/0").
+	Entry string
 }
 
 // Listing renders the unit.

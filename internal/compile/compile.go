@@ -307,12 +307,22 @@ func (c *Compiler) makeAux(x *term.Compound, context []term.Term) (term.Term, er
 	return nil, fmt.Errorf("unsupported control construct %s", x.Functor)
 }
 
+// QueryEntry names the synthetic procedure a query program (a knowledge
+// base posed a goal) starts in. A program that defines QueryEntry/0 starts
+// there instead of main/0, so the goal may still call the knowledge base's
+// own main/0.
+const QueryEntry = "$query"
+
 // Compile generates BAM code for every predicate added so far. The returned
 // unit contains one procedure per predicate; the caller (internal/expand)
 // adds the entry stub and runtime routines.
 func (c *Compiler) Compile() (*bam.Unit, error) {
-	if _, ok := c.preds[term.Indicator{Name: "main"}]; !ok {
-		return nil, fmt.Errorf("program must define main/0")
+	entry := term.Indicator{Name: QueryEntry}
+	if _, ok := c.preds[entry]; !ok {
+		entry.Name = "main"
+		if _, ok := c.preds[entry]; !ok {
+			return nil, fmt.Errorf("program must define main/0")
+		}
 	}
 	if err := c.resolveLibrary(); err != nil {
 		return nil, err
@@ -325,7 +335,7 @@ func (c *Compiler) Compile() (*bam.Unit, error) {
 	if c.usedMeta {
 		c.emitMetaDispatcher()
 	}
-	return &bam.Unit{Code: c.code, NumLabels: c.nextLabel, NextTemp: c.nextTemp}, nil
+	return &bam.Unit{Code: c.code, NumLabels: c.nextLabel, NextTemp: c.nextTemp, Entry: entry.String()}, nil
 }
 
 // --- first-argument indexing ---------------------------------------------

@@ -21,8 +21,6 @@
 package exec
 
 import (
-	"unsafe"
-
 	"symbol/internal/ic"
 	"symbol/internal/word"
 )
@@ -303,17 +301,6 @@ type Program struct {
 	Plain Stream
 	Fused Stream
 	Stats Stats
-}
-
-// SizeBytes estimates the resident size of the predecoded execution image:
-// both op streams and the pc maps. Budget-aware engine caches use it as the
-// per-program term of an engine's footprint; machine states belong to the
-// process-wide idle list, not to any engine, and are not counted.
-func (p *Program) SizeBytes() int64 {
-	const opBytes = int64(unsafe.Sizeof(Op{}))
-	n := int64(len(p.Plain.Ops)+len(p.Fused.Ops)) * opBytes
-	n += int64(len(p.Plain.XOf)+len(p.Fused.XOf)) * 4
-	return n
 }
 
 // Stats summarizes the fusion pass over the static code.

@@ -203,7 +203,7 @@ func Translate(u *bam.Unit, atoms *term.Table) (*ic.Program, error) {
 			break
 		}
 	}
-	a.entryStub()
+	a.entryStub(u.Entry)
 	a.failRoutine()
 	a.unifyRoutine()
 	a.throwRoutines(needCatch)
@@ -245,8 +245,8 @@ func Translate(u *bam.Unit, atoms *term.Table) (*ic.Program, error) {
 }
 
 // entryStub initializes the machine registers, the choice-point sentinel,
-// calls main/0 and halts with the success status.
-func (a *asm) entryStub() {
+// calls the entry procedure and halts with the success status.
+func (a *asm) entryStub(entry string) {
 	a.name("$start")
 	mi := func(d ic.Reg, w word.W) { a.emit(ic.Inst{Op: ic.MovI, D: d, Word: w}) }
 	mi(ic.RegH, word.MakeRef(ic.HeapBase))
@@ -259,7 +259,7 @@ func (a *asm) entryStub() {
 	mi(t, word.MakeInt(0))
 	a.emit(ic.Inst{Op: ic.St, A: ic.RegB, Imm: cpN, B: t, Reg: ic.RegionCP})
 	a.emit(ic.Inst{Op: ic.St, A: ic.RegB, Imm: cpEB, B: ic.RegEB, Reg: ic.RegionCP})
-	a.branchProc(ic.Inst{Op: ic.Jsr, D: ic.RegCP}, "main/0")
+	a.branchProc(ic.Inst{Op: ic.Jsr, D: ic.RegCP}, entry)
 	a.emit(ic.Inst{Op: ic.Halt, Imm: 0})
 }
 

@@ -15,7 +15,7 @@ import (
 func translate(t *testing.T, body []bam.Instr, numLabels int) *ic.Program {
 	t.Helper()
 	code := append([]bam.Instr{{Op: bam.Proc, Name: "main", Arity: 0}}, body...)
-	u := &bam.Unit{Code: code, NumLabels: numLabels + 1, NextTemp: ic.FirstTemp + 64}
+	u := &bam.Unit{Code: code, NumLabels: numLabels + 1, NextTemp: ic.FirstTemp + 64, Entry: "main/0"}
 	prog, err := Translate(u, term.NewTable())
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestUndefinedProcError(t *testing.T) {
 		{Op: bam.Proc, Name: "main", Arity: 0},
 		{Op: bam.Call, Name: "ghost", Arity: 3},
 	}
-	u := &bam.Unit{Code: code, NumLabels: 1, NextTemp: ic.FirstTemp}
+	u := &bam.Unit{Code: code, NumLabels: 1, NextTemp: ic.FirstTemp, Entry: "main/0"}
 	if _, err := Translate(u, term.NewTable()); err == nil ||
 		!strings.Contains(err.Error(), "ghost") {
 		t.Errorf("expected undefined-procedure error, got %v", err)
@@ -227,7 +227,7 @@ func TestUndefinedLabelError(t *testing.T) {
 		{Op: bam.Proc, Name: "main", Arity: 0},
 		{Op: bam.Jump, L: 9},
 	}
-	u := &bam.Unit{Code: code, NumLabels: 10, NextTemp: ic.FirstTemp}
+	u := &bam.Unit{Code: code, NumLabels: 10, NextTemp: ic.FirstTemp, Entry: "main/0"}
 	if _, err := Translate(u, term.NewTable()); err == nil {
 		t.Error("expected undefined-label error")
 	}

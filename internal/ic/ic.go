@@ -13,7 +13,6 @@ package ic
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"symbol/internal/fault"
 	"symbol/internal/term"
@@ -340,7 +339,6 @@ type Program struct {
 
 	execOnce  sync.Once
 	execCache any
-	execBuilt atomic.Bool
 }
 
 // ExecCache returns the program's predecoded execution image, building it
@@ -352,19 +350,8 @@ type Program struct {
 func (p *Program) ExecCache(build func() any) any {
 	p.execOnce.Do(func() {
 		p.execCache = build()
-		p.execBuilt.Store(true)
 	})
 	return p.execCache
-}
-
-// ExecCached returns the predecoded execution image if one has been built,
-// without forcing the build (nil otherwise). Size estimators use it to
-// account for the image only when a run has actually paid for it.
-func (p *Program) ExecCached() any {
-	if p.execBuilt.Load() {
-		return p.execCache
-	}
-	return nil
 }
 
 // MaxReg returns the highest register number named anywhere in the program,

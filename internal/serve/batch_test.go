@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
 
-	"symbol"
 	"symbol/internal/fault"
 )
 
@@ -211,61 +209,22 @@ func TestTenantQuotaSheds(t *testing.T) {
 	}
 }
 
-// TestCacheBytesBudgetEvicts: the engine cache evicts on estimated
-// resident bytes even when the entry count is far under capacity, keeps at
-// least one entry, and an unbounded-bytes cache (budget 0) does not.
-func TestCacheBytesBudgetEvicts(t *testing.T) {
-	kb := appKB
-	run := func(c *engineCache, goal string) {
-		t.Helper()
-		eng, err := c.get("app", kb, goal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Run once so the engine builds its predecoded streams: footprint
-		// grows from the code-only estimate to code plus streams.
-		if _, err := eng.Run(context.Background(), symbol.RunOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A 1-byte budget: any engine that has run exceeds it, so every insert
-	// past the first evicts down to one entry.
-	c := newEngineCache(10, 1, time.Minute)
-	run(c, "app(X,[3],[1,2,3])")
-	run(c, "app([1],Y,[1,2])")
-	if got := c.len(); got != 1 {
-		t.Errorf("bytes-budget cache entries = %d, want 1", got)
-	}
-	if c.bytes() <= 0 {
-		t.Errorf("cache bytes = %d, want > 0 after a run", c.bytes())
-	}
-
-	// Budget 0 = unbounded: both entries stay.
-	u := newEngineCache(10, 0, time.Minute)
-	run(u, "app(X,[3],[1,2,3])")
-	run(u, "app([1],Y,[1,2])")
-	if got := u.len(); got != 2 {
-		t.Errorf("unbounded cache entries = %d, want 2", got)
-	}
-
-	// A pinned entry survives the budget squeeze: under a 1-byte budget the
-	// squeeze always evicts down to one entry, and that survivor must be
-	// the pinned one, not the most recent.
-	p := newEngineCache(10, 1, time.Minute)
-	eng, unpin, err := p.getPinned("app", kb, "app(X,[3],[1,2,3])")
+// TestCachePinnedEntrySurvivesCap: eviction down to the entry cap skips a
+// pinned entry, so the survivor is the pinned engine, not the most recent.
+func TestCachePinnedEntrySurvivesCap(t *testing.T) {
+	p := newEngineCache(1, time.Minute)
+	eng, unpin, err := p.getPinned("app", appKB, "app(X,[3],[1,2,3])")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer unpin()
-	if _, err := eng.Run(context.Background(), symbol.RunOptions{}); err != nil {
+	if _, err := p.get("app", appKB, "app([1],Y,[1,2])"); err != nil {
 		t.Fatal(err)
 	}
-	run(p, "app([1],Y,[1,2])")
 	if got := p.len(); got != 1 {
-		t.Errorf("pinned cache entries = %d, want 1 (squeeze evicts the unpinned entry)", got)
+		t.Errorf("pinned cache entries = %d, want 1 (the cap evicts the unpinned entry)", got)
 	}
-	same, err := p.get("app", kb, "app(X,[3],[1,2,3])")
+	same, err := p.get("app", appKB, "app(X,[3],[1,2,3])")
 	if err != nil {
 		t.Fatal(err)
 	}

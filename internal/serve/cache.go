@@ -27,17 +27,12 @@ import (
 // window, producing garbage quantiles. So eviction retires the engine's
 // final snapshot into an accumulator that stays merged into every future
 // read (see retired).
-// Capacity is bounded twice: by entry count (the original LRU cap) and by
-// estimated resident bytes. Entry count is a poor proxy for memory — a
-// large program's code and predecoded streams outweigh a small one's many
-// times over — so eviction also sums Engine.Footprint over the live entries and evicts from the LRU tail
-// while the total exceeds the byte budget (always keeping at least one
-// entry: evicting the engine a request is about to use would just force an
-// immediate recompile).
+//
+// Capacity is bounded by entry count (QueryCache); pinned entries are never
+// evicted (see cacheEntry.pins).
 type engineCache struct {
 	mu      sync.Mutex
 	cap     int
-	budget  int64 // estimated resident bytes; 0 = unbounded
 	negTTL  time.Duration
 	entries map[string]*list.Element
 	lru     list.List // front = most recent; values are *cacheEntry
@@ -101,10 +96,6 @@ type cacheEntry struct {
 	// err, release via the Store) for the TTL check in get. 0 while the
 	// compile is running or after it succeeded.
 	failedAt atomic.Int64
-	// bytes is the entry's footprint as of the last budget check (guarded
-	// by the cache mutex; observability only — the check re-reads
-	// Engine.Footprint each pass).
-	bytes int64
 	// pins counts requests currently using this entry's engine (guarded by
 	// the cache mutex). Eviction skips pinned entries: retiring an
 	// engine's metrics snapshot while requests are still parked on it —
@@ -115,8 +106,8 @@ type cacheEntry struct {
 	pins int
 }
 
-func newEngineCache(capacity int, budgetBytes int64, negTTL time.Duration) *engineCache {
-	return &engineCache{cap: capacity, budget: budgetBytes, negTTL: negTTL, entries: map[string]*list.Element{}}
+func newEngineCache(capacity int, negTTL time.Duration) *engineCache {
+	return &engineCache{cap: capacity, negTTL: negTTL, entries: map[string]*list.Element{}}
 }
 
 // get returns the engine for (kb, goal), compiling it on first use. A goal
@@ -190,15 +181,12 @@ func (c *engineCache) getPinned(kbName, kbSrc, goal string) (*symbol.Engine, fun
 	return e.eng.Load(), unpin, e.err
 }
 
-// evictLocked trims the LRU tail while either bound is exceeded: entry
-// count past cap, or estimated resident bytes past budget (never evicting
-// the last entry on bytes alone). Footprints are re-read on every pass —
-// an engine's first run builds its predecoded streams, so the estimate is
-// only current at the moment of the check. Pinned engines are skipped; when
-// only pinned entries remain the bounds are temporarily exceeded and the
-// next get or unpin retries. Called with c.mu held.
+// evictLocked trims the LRU tail while the entry count is past cap.
+// Pinned engines are skipped; when only pinned entries remain the cap is
+// temporarily exceeded and the next get or unpin retries. Called with c.mu
+// held.
 func (c *engineCache) evictLocked() {
-	for c.lru.Len() > c.cap || (c.budget > 0 && c.lru.Len() > 1 && c.bytesLocked() > c.budget) {
+	for c.lru.Len() > c.cap {
 		evicted := false
 		for el := c.lru.Back(); el != nil; el = el.Prev() {
 			old := el.Value.(*cacheEntry)
@@ -220,28 +208,6 @@ func (c *engineCache) evictLocked() {
 			return
 		}
 	}
-}
-
-// bytesLocked sums the live entries' estimated footprints, refreshing each
-// entry's cached figure. Called with c.mu held.
-func (c *engineCache) bytesLocked() int64 {
-	var n int64
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if eng := e.eng.Load(); eng != nil {
-			b := eng.Footprint()
-			e.bytes = b
-			n += b
-		}
-	}
-	return n
-}
-
-// bytes reports the cache's current estimated resident footprint.
-func (c *engineCache) bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytesLocked()
 }
 
 // engines lists every compiled engine currently cached, for metrics

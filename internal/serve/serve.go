@@ -74,13 +74,6 @@ type Config struct {
 	// QueryCache is the LRU capacity of compiled (kb, goal) engines
 	// (default 64).
 	QueryCache int
-	// CacheBudgetBytes bounds the estimated resident footprint of the
-	// compiled-query engine cache (default 2 GiB): each engine's code and
-	// predecoded streams. Machine states are not counted: engines hold
-	// none between runs, and the process-wide idle list keeps at most
-	// GOMAXPROCS of them. The LRU evicts past the budget even when the
-	// entry count is still under QueryCache.
-	CacheBudgetBytes int64
 	// Dispatch selects the execution core every query runs under
 	// (legacy, nofuse, fused; default auto).
 	Dispatch symbol.Dispatch
@@ -149,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryCache <= 0 {
 		c.QueryCache = 64
-	}
-	if c.CacheBudgetBytes <= 0 {
-		c.CacheBudgetBytes = 2 << 30
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 2 * time.Millisecond
@@ -224,7 +214,7 @@ func New(cfg Config, kbs ...KB) (*Server, error) {
 		cfg: cfg,
 		kbs: map[string]*kbEntry{},
 	}
-	s.cache = newEngineCache(cfg.QueryCache, cfg.CacheBudgetBytes, cfg.NegCacheTTL)
+	s.cache = newEngineCache(cfg.QueryCache, cfg.NegCacheTTL)
 	for _, kb := range kbs {
 		if kb.Name == "" {
 			return nil, fmt.Errorf("serve: knowledge base with empty name")

@@ -257,7 +257,7 @@ func TestRequestTimeoutMapsToTimeoutStatus(t *testing.T) {
 }
 
 func TestEngineCacheLRUAndNegativeCaching(t *testing.T) {
-	c := newEngineCache(2, 0, time.Minute)
+	c := newEngineCache(2, time.Minute)
 	e1, err := c.get("kb", appKB, "app(X,[3],[1,2,3])")
 	if err != nil || e1 == nil {
 		t.Fatalf("get: %v", err)
@@ -292,7 +292,7 @@ func TestEngineCacheLRUAndNegativeCaching(t *testing.T) {
 }
 
 func TestEngineCacheConcurrentSameGoal(t *testing.T) {
-	c := newEngineCache(8, 0, time.Minute)
+	c := newEngineCache(8, time.Minute)
 	var wg sync.WaitGroup
 	engines := make([]any, 16)
 	for i := range engines {

@@ -258,7 +258,7 @@ func TestDrainClosesParkedCursors(t *testing.T) {
 // instead of poisoning the (kb, goal) key forever.
 func TestNegativeCacheTTL(t *testing.T) {
 	const ttl = 50 * time.Millisecond
-	c := newEngineCache(4, 0, ttl)
+	c := newEngineCache(4, ttl)
 
 	broken := "app([],L,L).\napp([H|T],L,[H|R]) :- app(T,L" // truncated source
 	if _, err := c.get("kb", broken, "app(X,[3],[1,2,3])"); err == nil {
@@ -286,7 +286,7 @@ func TestNegativeCacheTTL(t *testing.T) {
 // TestEvictionRetiresMetrics: evicting an engine folds its history into
 // the retired accumulator, so the merged view never shrinks.
 func TestEvictionRetiresMetrics(t *testing.T) {
-	c := newEngineCache(1, 0, time.Minute)
+	c := newEngineCache(1, time.Minute)
 	e1, err := c.get("kb", appKB, "app(X,[3],[1,2,3])")
 	if err != nil {
 		t.Fatal(err)

@@ -33,14 +33,14 @@ func WithCompileOptions(opts Options) LoadOption {
 }
 
 // WithGoal compiles src as a knowledge base posed one query: the goal
-// becomes the body of a synthetic main/0 clause that, on success, writes
+// becomes the body of a synthetic entry clause that, on success, writes
 // one "Var = value" line per named goal variable (or "yes" when the goal
 // has none). Prolog failure surfaces as Result.Succeeded == false, not as
 // an error; Program.Run gives the first solution and Engine.Query streams
-// them all. Any main/0 clauses the knowledge base itself defines are
-// dropped first — the posed goal is the query, and must not be shadowed by
-// the program's own entry point. The goal may be written with or without
-// the "?-" prefix and the final ".".
+// them all. The program starts in the synthetic entry instead of main/0,
+// so a main/0 the knowledge base defines is an ordinary predicate: it does
+// not run unless the goal calls it. The goal may be written with or
+// without the "?-" prefix and the final ".".
 //
 // WithGoal applies only to Prolog source inputs. Combining it with a
 // snapshot input is an error: a query snapshot already has its goal baked
@@ -83,7 +83,8 @@ func WithoutRecompileFallback() LoadOption {
 //     falls back to recompiling the snapshot's embedded source unless
 //     WithoutRecompileFallback is set.
 //
-// Snapshots are produced by Program.Snapshot, or offline with symbolc -o.
+// Snapshots are produced by Program.Snapshot, or offline with
+// symbol compile -o.
 func Load(ctx context.Context, src []byte, opts ...LoadOption) (_ *Program, err error) {
 	defer guard(&err)
 	cfg := loadConfig{opts: DefaultOptions()}
@@ -231,7 +232,7 @@ func writeCacheFile(dir, path string, data []byte) {
 // code and atom table, the source text (fuel for the version-skew
 // recompile fallback) and — if Profile has already been computed — the
 // execution profile, so a scheduling consumer of the snapshot skips the
-// profiling run as well. Load accepts the result directly; symbolserve
+// profiling run as well. Load accepts the result directly; symbol serve
 // preloads directories of them at boot.
 func (p *Program) Snapshot() []byte {
 	img := &snapshot.Image{

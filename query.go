@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"strings"
 
+	"symbol/internal/compile"
 	"symbol/internal/parse"
 	"symbol/internal/term"
 )
 
 // queryClauses is the compile-side half of query handling: it parses the
-// knowledge base, drops any main/0 clauses it defines (the posed goal is
-// the query, and must not be shadowed by the program's own entry point),
-// and appends a synthetic main/0 clause whose body runs the goal and, on
-// success, writes one "Var = value" line per named goal variable (or "yes"
-// when the goal has none). It returns the clauses ready for compileClauses
-// together with the normalized goal text (the "?-" prefix stripped), which
-// the Program records for snapshots.
+// knowledge base and appends a synthetic entry clause, named
+// compile.QueryEntry, whose body runs the goal and, on success, writes one
+// "Var = value" line per named goal variable (or "yes" when the goal has
+// none). A program that defines the synthetic entry starts there, so the
+// knowledge base's own main/0 stays an ordinary predicate the goal may
+// call. It returns the clauses ready for compileClauses together with the
+// normalized goal text (the "?-" prefix stripped), which the Program
+// records for snapshots.
 //
 // The goal may be written with or without the "?-" prefix and the final
 // ".".
@@ -23,12 +25,6 @@ func queryClauses(kbSrc, goal string) ([]term.Term, string, error) {
 	parsed, err := parse.All(kbSrc)
 	if err != nil {
 		return nil, "", fmt.Errorf("symbol: knowledge base: %w", err)
-	}
-	clauses := parsed[:0]
-	for _, cl := range parsed {
-		if !definesMain(cl) {
-			clauses = append(clauses, cl)
-		}
 	}
 	goal = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(goal), "?-"))
 	if goal == "" {
@@ -63,7 +59,7 @@ func queryClauses(kbSrc, goal string) ([]term.Term, string, error) {
 		}
 	}
 
-	// main :- Goal, write('X = '), write(X), nl, ...  (or write(yes), nl).
+	// '$query' :- Goal, write('X = '), write(X), nl, ...  (or write(yes), nl).
 	body := goals[0]
 	if len(named) == 0 {
 		body = term.Comma(body, term.Comma(
@@ -78,21 +74,9 @@ func queryClauses(kbSrc, goal string) ([]term.Term, string, error) {
 					term.Atom("nl"))))
 		}
 	}
-	clauses = append(clauses, &term.Compound{
+	clauses := append(parsed, &term.Compound{
 		Functor: ":-",
-		Args:    []term.Term{term.Atom("main"), body},
+		Args:    []term.Term{term.Atom(compile.QueryEntry), body},
 	})
 	return clauses, goal, nil
-}
-
-// definesMain reports whether a clause defines main/0 (as a fact or a
-// rule), so query programs can replace the knowledge base's entry point
-// with the posed goal.
-func definesMain(cl term.Term) bool {
-	head := cl
-	if c, ok := cl.(*term.Compound); ok && c.Functor == ":-" && len(c.Args) == 2 {
-		head = c.Args[0]
-	}
-	a, ok := head.(term.Atom)
-	return ok && a == "main"
 }

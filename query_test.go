@@ -78,3 +78,23 @@ p(ok).
 		t.Fatalf("kb main leaked into query: %q", res.Output)
 	}
 }
+
+// TestQueryCallsProgramMain: a goal naming main/0 runs the knowledge base's
+// own main/0 once. The synthetic query entry used to be main/0 itself, so
+// the goal called the entry and recursed until the step limit.
+func TestQueryCallsProgramMain(t *testing.T) {
+	kb := `
+main :- write(hello), nl.
+p :- main.
+`
+	for _, goal := range []string{"main", "p"} {
+		prog := mustLoad(t, kb, WithGoal(goal))
+		res, err := prog.Run(context.Background(), RunOptions{MaxSteps: 1e6})
+		if err != nil {
+			t.Fatalf("goal %q: %v", goal, err)
+		}
+		if !res.Succeeded || res.Output != "hello\nyes\n" {
+			t.Errorf("goal %q: ok=%v output %q, want \"hello\\nyes\\n\"", goal, res.Succeeded, res.Output)
+		}
+	}
+}

@@ -20,7 +20,7 @@
 // Load accepts Prolog source or a binary snapshot (sniffed by magic
 // header), compiles queries against a knowledge base via WithGoal, and
 // skips compilation entirely through WithSnapshotCache. Programs
-// round-trip through prog.Snapshot() and symbolc -o prog.sym.
+// round-trip through prog.Snapshot() and symbol compile -o prog.sym.
 //
 // RunOptions bounds a run; its zero value means the defaults:
 //
