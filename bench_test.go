@@ -5,8 +5,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the entire evaluation. cmd/symbolbench prints the same data as
-// formatted tables.
+// reproduces the entire evaluation. The same data, as formatted tables, is
+// internal/experiments/testdata/tables.golden.
 package symbol_test
 
 import (

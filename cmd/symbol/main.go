@@ -197,7 +197,7 @@ func cmdRun(ctx context.Context, args []string, stdin io.Reader, stdout, stderr 
 	query := f.String("q", "", "answer this query and exit (default: read queries from stdin)")
 	nsol := f.Int("solutions", 1, "answers to print per query, separated by ';' (< 1 = all)")
 	stats := f.Bool("stats", false, "print the last answer's execution stats to stderr")
-	events := f.Int("events", 0, "print the last answer's N most recent executor events to stderr")
+	events := f.Int("events", 0, "print the N most recent executor events of the last answer, or of the fault, to stderr")
 	if err := f.parse(args); err != nil {
 		return err
 	}
@@ -233,6 +233,7 @@ func cmdRun(ctx context.Context, args []string, stdin io.Reader, stdout, stderr 
 			fmt.Fprint(stdout, last.Output)
 		}
 		if err := sols.Err(); err != nil {
+			printEvents(stderr, sols.Result())
 			return err
 		}
 		if last == nil {
@@ -242,13 +243,7 @@ func cmdRun(ctx context.Context, args []string, stdin io.Reader, stdout, stderr 
 		if *stats {
 			fmt.Fprint(stderr, last.Stats.String())
 		}
-		if last.EventsDropped > 0 {
-			fmt.Fprintf(stderr, "events: %d recorded, oldest %d dropped\n",
-				int64(len(last.Events))+last.EventsDropped, last.EventsDropped)
-		}
-		for _, e := range last.Events {
-			fmt.Fprintln(stderr, e.String())
-		}
+		printEvents(stderr, last)
 		return nil
 	}
 	if *query != "" {
@@ -274,6 +269,17 @@ func cmdRun(ctx context.Context, args []string, stdin io.Reader, stdout, stderr 
 		}
 	}
 	return ctx.Err()
+}
+
+// printEvents writes the events a traced run kept, oldest first.
+func printEvents(w io.Writer, r *symbol.Result) {
+	if r.EventsDropped > 0 {
+		fmt.Fprintf(w, "events: %d recorded, oldest %d dropped\n",
+			int64(len(r.Events))+r.EventsDropped, r.EventsDropped)
+	}
+	for _, e := range r.Events {
+		fmt.Fprintln(w, e.String())
+	}
 }
 
 // consult joins the sources of the inputs. A program snapshot contributes

@@ -128,6 +128,18 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunEventsOnFault checks that -events prints the trace of a query
+// that faults: the last N events, then the fault.
+func TestRunEventsOnFault(t *testing.T) {
+	loop := writeFile(t, "loop.pl", []byte("loop :- loop.\nmain :- loop.\n"))
+	_, errs, code := symbolCmd(t, "", "run", "-max-steps", "100", "-events", "5", "-q", "main", loop)
+	lines := strings.Split(strings.TrimSuffix(errs, "\n"), "\n")
+	if code != 1 || len(lines) != 7 || !strings.HasPrefix(lines[0], "events: ") ||
+		!strings.Contains(lines[6], "step limit") {
+		t.Fatalf("exit %d, stderr %q, want 5 events after the dropped count, then the step-limit fault", code, errs)
+	}
+}
+
 // TestCompile lists a source file and its snapshot: the ICI listing is the
 // same, and the snapshot rewrites to the same bytes.
 func TestCompile(t *testing.T) {

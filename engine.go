@@ -95,7 +95,10 @@ func deadlineOf(ctx context.Context, opts RunOptions) RunOptions {
 
 // Run answers one query on the sequential emulator using a recycled machine
 // state. Cancelling ctx aborts the run with ErrCanceled; a ctx deadline
-// tightens opts.Deadline.
+// tightens opts.Deadline. A run that faults returns its error together
+// with a non-nil Result whose Succeeded is false and whose Events hold the
+// events traced up to the fault (RunOptions.TraceEvents); options that
+// fail Validate return a nil Result.
 func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error) {
 	defer guard(&err)
 	if err := opts.Validate(); err != nil {
@@ -147,13 +150,9 @@ func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error
 	if err != nil {
 		settled = true
 		e.met.RecordFailed(fault.KindOf(err), time.Since(start))
-		return nil, err
+		return (&Result{}).withEvents(trace), err
 	}
-	r := &Result{Succeeded: res.Status == 0, Output: res.Output, Steps: res.Steps, Stats: res.Stats}
-	if trace != nil {
-		r.Events = trace.Events()
-		r.EventsDropped = trace.Dropped()
-	}
+	r := (&Result{Succeeded: res.Status == 0, Output: res.Output, Steps: res.Steps, Stats: res.Stats}).withEvents(trace)
 	settled = true
 	e.met.RecordDone(&r.Stats, r.Succeeded)
 	return r, nil
@@ -455,5 +454,9 @@ func (e *Engine) runBatchOne(ctx context.Context, opts RunOptions) (*Result, err
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
-	return e.Run(ctx, opts)
+	res, err := e.Run(ctx, opts)
+	if err != nil {
+		res = nil // a BatchResult holds a Result or an error, not both
+	}
+	return res, err
 }

@@ -54,7 +54,7 @@ func lineDiff(got, want string) string {
 // is meant to move the numbers, and record each moved row.
 func TestGoldenTables(t *testing.T) {
 	var sb strings.Builder
-	if err := Write(&sb, []string{"all"}); err != nil {
+	if err := Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	got := sb.String()

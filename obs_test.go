@@ -256,9 +256,14 @@ func TestRunContextAPI(t *testing.T) {
 		t.Errorf("Result.String() = %q, want mix table", got)
 	}
 
-	// MaxSteps surfaces the usual typed fault.
+	// MaxSteps surfaces the usual typed fault, alongside a record that
+	// keeps the events traced up to it.
 	if _, err := prog.Run(context.Background(), RunOptions{MaxSteps: 3}); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("MaxSteps: 3: err=%v, want ErrStepLimit", err)
+	}
+	faulted, err := prog.Run(context.Background(), RunOptions{MaxSteps: 40, TraceEvents: 64})
+	if !errors.Is(err, ErrStepLimit) || faulted == nil || faulted.Succeeded || len(faulted.Events) == 0 {
+		t.Errorf("traced MaxSteps: 40: err=%v, record %+v, want ErrStepLimit with the events so far", err, faulted)
 	}
 
 	// A cancelled context aborts the run (polled every CheckInterval steps,

@@ -41,18 +41,6 @@ func WithMaxTraceBlocks(n int) ScheduleOption {
 	return func(o *ScheduleOptions) { o.MaxTraceBlocks = n }
 }
 
-// WithNoTailDuplication disables growing traces through join points by
-// cloning.
-func WithNoTailDuplication() ScheduleOption {
-	return func(o *ScheduleOptions) { o.NoTailDuplication = true }
-}
-
-// WithTailDupOpsPercent overrides the duplication budget as a percentage of
-// the program size.
-func WithTailDupOpsPercent(pct int) ScheduleOption {
-	return func(o *ScheduleOptions) { o.TailDupOpsPercent = pct }
-}
-
 // WithScheduleOptions replaces the whole option struct; later options still
 // apply on top.
 func WithScheduleOptions(opts ScheduleOptions) ScheduleOption {

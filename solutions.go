@@ -87,7 +87,7 @@ func (s *Solutions) Next() bool {
 		}
 	}()
 	if err != nil {
-		s.cur = nil
+		s.cur = (&Result{}).withEvents(s.trace)
 		s.err = err
 		s.finish(func() { s.eng.met.RecordFailed(fault.KindOf(err), s.m.Elapsed()) })
 		return false
@@ -100,20 +100,17 @@ func (s *Solutions) Next() bool {
 		s.finish(func() { s.eng.met.RecordDone(&st, s.sawSol) })
 		return false
 	}
-	r := &Result{Succeeded: true, Output: res.Output, Steps: res.Steps, Stats: res.Stats}
-	if s.trace != nil {
-		r.Events = s.trace.Events()
-		r.EventsDropped = s.trace.Dropped()
-	}
-	s.cur = r
+	s.cur = (&Result{Succeeded: true, Output: res.Output, Steps: res.Steps, Stats: res.Stats}).withEvents(s.trace)
 	s.sawSol = true
 	return true
 }
 
 // Result returns the solution produced by the last successful Next: its
 // Output holds only this solution's text, while Steps and Stats are
-// cumulative across the stream so far. It returns nil when Next has not
-// produced a solution.
+// cumulative across the stream so far. After a Next that failed with an
+// error it returns the faulting run's record, as Engine.Run does: Succeeded
+// false, with the events traced up to the fault. It returns nil when Next
+// has produced neither, and after Close.
 func (s *Solutions) Result() *Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()

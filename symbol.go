@@ -404,6 +404,15 @@ func (r *Result) String() string {
 	return fmt.Sprintf("ok=%v %s", r.Succeeded, r.Stats.String())
 }
 
+// withEvents copies a traced run's events into r, and returns r.
+func (r *Result) withEvents(t *obs.Trace) *Result {
+	if t != nil {
+		r.Events = t.Events()
+		r.EventsDropped = t.Dropped()
+	}
+	return r
+}
+
 // Profile runs the sequential emulator with statistics collection and
 // caches the result (used by the trace scheduler and the analyses). It
 // always runs under the default memory layout: the profile must describe
