@@ -111,7 +111,7 @@ func TestAblationTraceThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, max := range []int{1, 2, 4} {
-		sched, err := prog.ScheduleWith(DefaultMachine(3), WithMaxTraceBlocks(max))
+		sched, err := prog.ScheduleWith(DefaultMachine(3), WithScheduleOptions(ScheduleOptions{MaxTraceBlocks: max}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,8 +12,8 @@
 //
 // Every file is Prolog source or a snapshot written by compile -o; both
 // load through symbol.Load. -bench names a program of the embedded corpus
-// instead (serve also takes all). run, sim and serve share -max-steps,
-// -timeout and -dispatch; compile and sim share -units.
+// instead (serve also takes all). run, sim and serve share -max-steps and
+// -timeout; run and sim share -dispatch; compile and sim share -units.
 package main
 
 import (
@@ -97,10 +97,15 @@ func newFlags(name string, stderr io.Writer) *flags {
 	return f
 }
 
-// limits defines -max-steps, -timeout and -dispatch.
+// limits defines -max-steps and -timeout.
 func (f *flags) limits() {
 	f.Int64Var(&f.maxSteps, "max-steps", 0, "step budget of one query or run: sequential ICI steps and VLIW cycles (0 = default)")
 	f.DurationVar(&f.timeout, "timeout", 0, "wall-clock limit of one query or run (0 = none; serve: 5s)")
+}
+
+// core defines -dispatch. serve has none: it runs every query on the
+// default core.
+func (f *flags) core() {
 	f.StringVar(&f.dispatch, "dispatch", "auto", "execution core: auto, legacy, nofuse or fused")
 }
 
@@ -194,6 +199,7 @@ func (f *flags) one(ctx context.Context) (*symbol.Program, string, error) {
 func cmdRun(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	f := newFlags("run", stderr)
 	f.limits()
+	f.core()
 	query := f.String("q", "", "answer this query and exit (default: read queries from stdin)")
 	nsol := f.Int("solutions", 1, "answers to print per query, separated by ';' (< 1 = all)")
 	stats := f.Bool("stats", false, "print the last answer's execution stats to stderr")
@@ -388,6 +394,7 @@ func cmdCompile(ctx context.Context, args []string, _ io.Reader, stdout, stderr 
 func cmdSim(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	f := newFlags("sim", stderr)
 	f.limits()
+	f.core()
 	f.unitCounts("1,2,3,5")
 	list := f.Bool("list", false, "list the corpus programs")
 	if err := f.parse(args); err != nil {
@@ -476,14 +483,12 @@ func cmdServe(ctx context.Context, args []string, _ io.Reader, _, stderr io.Writ
 		maxInFlight = f.Int("max-inflight", 0, "concurrently executing queries (0 = GOMAXPROCS)")
 		maxQueue    = f.Int("max-queue", 0, "admission queue depth (0 = 4x max-inflight)")
 		queueWait   = f.Duration("queue-timeout", 0, "max admission wait (0 = 1s)")
-		drain       = f.Duration("drain-timeout", 0, "graceful-drain deadline on shutdown (0 = 10s)")
+		drain       = f.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline on shutdown")
 		shedP99     = f.Duration("shed-p99", 0, "shed while windowed p99 exceeds this (0 = off)")
 		tenantsPath = f.String("tenants", "", "JSON file of named tenant budget envelopes")
 		cursorTTL   = f.Duration("cursor-ttl", 0, "idle lifetime of a paginated query's resume cursor (0 = 30s)")
-		negTTL      = f.Duration("neg-cache-ttl", 0, "how long a failed query compile stays cached (0 = 5s)")
 		batchWindow = f.Duration("batch-window", 0, "request-coalescing window (0 = 2ms)")
-		maxBatch    = f.Int("max-batch", 0, "max requests per coalesced batch (0 = max-inflight)")
-		noBatch     = f.Bool("no-batch", false, "disable request coalescing")
+		maxBatch    = f.Int("max-batch", 0, "max requests per coalesced batch (0 = max-inflight; 1 = no coalescing)")
 		snapDir     = f.String("snapshot-dir", "", "directory of .sym snapshots preloaded at boot (program snapshots become KBs, query snapshots pre-warm the query cache)")
 	)
 	if err := f.parse(args); err != nil {
@@ -491,21 +496,17 @@ func cmdServe(ctx context.Context, args []string, _ io.Reader, _, stderr io.Writ
 	}
 	logger := log.New(stderr, "", log.LstdFlags)
 	cfg := serve.Config{
-		MaxInFlight:     *maxInFlight,
-		MaxQueue:        *maxQueue,
-		QueueTimeout:    *queueWait,
-		RequestTimeout:  f.timeout,
-		DrainTimeout:    *drain,
-		ShedP99:         *shedP99,
-		CursorTTL:       *cursorTTL,
-		NegCacheTTL:     *negTTL,
-		Dispatch:        f.runOptions().Dispatch,
-		BatchWindow:     *batchWindow,
-		MaxBatch:        *maxBatch,
-		DisableBatching: *noBatch,
-		SnapshotDir:     *snapDir,
-		DefaultTenant:   serve.Tenant{MaxSteps: f.maxSteps},
-		Logf:            logger.Printf,
+		MaxInFlight:    *maxInFlight,
+		MaxQueue:       *maxQueue,
+		QueueTimeout:   *queueWait,
+		RequestTimeout: f.timeout,
+		ShedP99:        *shedP99,
+		CursorTTL:      *cursorTTL,
+		BatchWindow:    *batchWindow,
+		MaxBatch:       *maxBatch,
+		SnapshotDir:    *snapDir,
+		DefaultTenant:  serve.Tenant{MaxSteps: f.maxSteps},
+		Logf:           logger.Printf,
 	}
 	if *tenantsPath != "" {
 		data, err := os.ReadFile(*tenantsPath)
@@ -558,11 +559,7 @@ func cmdServe(ctx context.Context, args []string, _ io.Reader, _, stderr io.Writ
 	// in-flight queries: hard-cancelled stragglers still get responses
 	// before the HTTP server finishes its own shutdown.
 	s.BeginDrain()
-	deadline := cfg.DrainTimeout
-	if deadline <= 0 {
-		deadline = 10 * time.Second
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), deadline)
+	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	drainErr := s.Drain(dctx)
 	if err := httpSrv.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -217,7 +217,8 @@ func (e *Engine) Scheduled() (*Scheduled, error) {
 
 // Simulate answers one query on the cycle-level VLIW simulator using a
 // recycled machine state, scheduling the program on first use. Cancelling
-// ctx aborts the run with ErrCanceled.
+// ctx aborts the run with ErrCanceled. A run that faults returns its
+// traced events (RunOptions.TraceEvents) beside the error.
 func (e *Engine) Simulate(ctx context.Context, opts RunOptions) (_ *SimResult, err error) {
 	defer guard(&err)
 	if err := opts.Validate(); err != nil {
@@ -257,23 +258,11 @@ func (e *Engine) Simulate(ctx context.Context, opts RunOptions) (_ *SimResult, e
 		Events:    trace,
 	})
 	clean = true
+	sr := simResult(r, trace)
 	if err != nil {
 		settled = true
 		e.met.RecordFailed(fault.KindOf(err), time.Since(start))
-		return nil, err
-	}
-	sr := &SimResult{
-		Succeeded: r.Status == 0,
-		Output:    r.Output,
-		Cycles:    r.Cycles,
-		Words:     r.Words,
-		Ops:       r.Ops,
-		Bubble:    r.Bubble,
-		Stats:     r.Stats,
-	}
-	if trace != nil {
-		sr.Events = trace.Events()
-		sr.EventsDropped = trace.Dropped()
+		return sr, err
 	}
 	settled = true
 	e.met.RecordDone(&sr.Stats, sr.Succeeded)

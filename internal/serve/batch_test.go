@@ -32,53 +32,71 @@ func parkCursor(t *testing.T, ts string) string {
 // TestBatchCoalescesIdenticalGoals is the coalescing contract under -race:
 // N concurrent identical goals compile once, gather into ONE batch, and are
 // all answered by ONE engine run — while each request still gets its own
-// complete, correct response.
+// complete, correct response. With MaxBatch 1 the same burst is the
+// uncoalesced server: every request is a full batch of its own, so it runs
+// at once and never waits out the window.
 func TestBatchCoalescesIdenticalGoals(t *testing.T) {
 	const n = 6
-	s, ts := newTestServer(t, Config{
-		MaxInFlight: n + 2,
-		MaxBatch:    n,
-		BatchWindow: 2 * time.Second, // flush must come from the batch filling
-	}, KB{Name: "app", Source: appKB})
+	for _, tc := range []struct {
+		name          string
+		maxBatch      int
+		batches, runs int64
+	}{
+		{"coalesced", n, 1, 1},
+		{"batch of one", 1, n, n},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const window = 2 * time.Second // flush must come from the batch filling
+			s, ts := newTestServer(t, Config{
+				MaxInFlight: n + 2,
+				MaxBatch:    tc.maxBatch,
+				BatchWindow: window,
+			}, KB{Name: "app", Source: appKB})
 
-	parkCursor(t, ts.URL)
+			parkCursor(t, ts.URL)
 
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r, err := http.Get(ts.URL + "/query/app?q=app(X,[3],[1,2,3])")
-			if err != nil {
-				errs <- err
-				return
+			start := time.Now()
+			var wg sync.WaitGroup
+			errs := make(chan error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r, err := http.Get(ts.URL + "/query/app?q=app(X,[3],[1,2,3])")
+					if err != nil {
+						errs <- err
+						return
+					}
+					resp := decode(t, r)
+					if r.StatusCode != 200 || !resp.OK || resp.Output != "X = [1,2]\n" {
+						errs <- fmt.Errorf("status=%d resp=%+v", r.StatusCode, resp)
+					}
+				}()
 			}
-			resp := decode(t, r)
-			if r.StatusCode != 200 || !resp.OK || resp.Output != "X = [1,2]\n" {
-				errs <- fmt.Errorf("status=%d resp=%+v", r.StatusCode, resp)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+			if took := time.Since(start); took > window/2 {
+				t.Errorf("burst took %v, want well under the %v window", took, window)
+			}
 
-	m := s.Metrics()
-	if m.BatchesTotal != 1 {
-		t.Errorf("BatchesTotal = %d, want 1", m.BatchesTotal)
-	}
-	if m.BatchMembersTotal != n {
-		t.Errorf("BatchMembersTotal = %d, want %d", m.BatchMembersTotal, n)
-	}
-	if m.BatchRunsTotal != 1 {
-		t.Errorf("BatchRunsTotal = %d, want 1 (identical goals must share one run)", m.BatchRunsTotal)
-	}
-	// One cache entry per distinct goal: the cursor's and the shared one.
-	if got := s.cache.len(); got != 2 {
-		t.Errorf("cache entries = %d, want 2", got)
+			m := s.Metrics()
+			if m.BatchesTotal != tc.batches {
+				t.Errorf("BatchesTotal = %d, want %d", m.BatchesTotal, tc.batches)
+			}
+			if m.BatchMembersTotal != n {
+				t.Errorf("BatchMembersTotal = %d, want %d", m.BatchMembersTotal, n)
+			}
+			if m.BatchRunsTotal != tc.runs {
+				t.Errorf("BatchRunsTotal = %d, want %d", m.BatchRunsTotal, tc.runs)
+			}
+			// One cache entry per distinct goal: the cursor's and the shared one.
+			if got := s.cache.len(); got != 2 {
+				t.Errorf("cache entries = %d, want 2", got)
+			}
+		})
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // under the same budgets computes the same answer — so N requests for the
 // same (kb, goal) with the same budget class need ONE run, not N. Admitted
 // requests park for a short batching window; the window closes early when
-// the batch fills (MaxBatch) or when every admitted request in the server
-// is already parked (nothing else is running, so no more company is
-// coming), and the window timer is the backstop. One flush executes one
-// Engine.RunBatch with one entry per distinct budget class and fans each
-// class's result back to its members.
+// the batch fills (MaxBatch, so MaxBatch 1 runs every request at once) or
+// when every admitted request in the server is already parked (nothing
+// else is running, so no more company is coming), and the window timer is
+// the backstop. One flush executes one Engine.RunBatch with one entry per
+// distinct budget class and fans each class's result back to its members.
 //
 // The coalescing contract deliberately excludes paginated queries: a
 // Solutions stream is stateful (a suspended machine), so /query?limit=N
@@ -58,11 +58,11 @@ func (bt *batch) quiet(linger time.Duration) {
 }
 
 // classKey identifies a budget class within a batch: members with equal
-// keys pose byte-identical runs (same step/memory budgets, same dispatch
-// core, same wall-clock allowance) and share one run's result. The key
-// carries the timeout *duration*, not an absolute deadline — members of a
-// class were admitted microseconds apart, and the shared run uses one
-// deadline computed at flush time.
+// keys pose byte-identical runs (same step/memory budgets, same wall-clock
+// allowance) and share one run's result. The key carries the timeout
+// *duration*, not an absolute deadline — members of a class were admitted
+// microseconds apart, and the shared run uses one deadline computed at
+// flush time.
 type classKey struct {
 	maxSteps int64
 	heap     int64
@@ -70,7 +70,6 @@ type classKey struct {
 	cp       int64
 	trail    int64
 	pdl      int64
-	dispatch symbol.Dispatch
 	timeout  time.Duration
 }
 
@@ -82,7 +81,6 @@ func classOf(opts symbol.RunOptions, timeout time.Duration) classKey {
 		cp:       opts.CPWords,
 		trail:    opts.TrailWords,
 		pdl:      opts.PDLWords,
-		dispatch: opts.Dispatch,
 		timeout:  timeout,
 	}
 }
@@ -148,6 +146,11 @@ func (b *batcher) submit(ctx context.Context, eng *symbol.Engine, opts symbol.Ru
 	bt.members = append(bt.members, m)
 	b.parked++
 	full := len(bt.members) >= b.max
+	if full {
+		// Detach at once: the next request opens a fresh batch, so no batch
+		// ever exceeds MaxBatch while its flush is on its way.
+		delete(b.pending, eng)
+	}
 	// Quiet early close: the admission queue is empty and every admitted
 	// request is parked in some batch — nothing inside the server is left
 	// running to finish and send company, so waiting out the full window
@@ -196,7 +199,9 @@ func (b *batcher) flushAfter(bt *batch) {
 	case <-b.s.drainCtx.Done():
 	}
 	b.mu.Lock()
-	delete(b.pending, bt.eng)
+	if b.pending[bt.eng] == bt {
+		delete(b.pending, bt.eng)
+	}
 	members := bt.members
 	b.parked -= len(members)
 	b.mu.Unlock()
@@ -240,8 +245,7 @@ func (b *batcher) execute(eng *symbol.Engine, members []*batchMember) {
 	// member's request context has died — one client disconnecting must not
 	// drag down siblings that still want the answer. The wall budget rides
 	// in RunOptions.Deadline (flush time + the class's timeout), so a
-	// timeout terminates as the typed fault.Deadline the direct path
-	// produces.
+	// timeout terminates as the typed fault.Deadline.
 	now := time.Now()
 	runs := make([]symbol.BatchRun, len(order))
 	var cleanup []func()

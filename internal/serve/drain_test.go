@@ -27,7 +27,6 @@ func TestOverloadSheds(t *testing.T) {
 		// milliseconds on any hardware, long enough to force queueing.
 		DefaultTenant:  Tenant{MaxSteps: 20_000_000},
 		RequestTimeout: 30 * time.Second,
-		RetryAfter:     2 * time.Second,
 	}
 	s, ts := newTestServer(t, cfg, KB{Name: "loop", Source: loopKB})
 
@@ -75,8 +74,8 @@ func TestOverloadSheds(t *testing.T) {
 			}
 		case 429, 503:
 			shed++
-			if o.retryAfter == "" {
-				t.Errorf("request %d: shed without Retry-After", i)
+			if o.retryAfter != "1" {
+				t.Errorf("request %d: shed with Retry-After %q, want 1", i, o.retryAfter)
 			}
 			if o.shedReason == "" {
 				t.Errorf("request %d: shed without %s header", i, ShedReasonHeader)

@@ -59,42 +59,25 @@ type Config struct {
 	// RequestTimeout is the default wall-clock budget of one query
 	// (default 5s); tenants and the X-Symbol-Timeout header tighten it.
 	RequestTimeout time.Duration
-	// DrainTimeout bounds graceful shutdown: how long Drain waits for
-	// in-flight queries before hard-cancelling them (default 10s).
-	DrainTimeout time.Duration
 	// ShedP99 sheds new work while the windowed p99 of completed runs
 	// exceeds it (0 = pressure shedding off).
 	ShedP99 time.Duration
 	// PressureInterval is the p99 window length (default 250ms).
 	PressureInterval time.Duration
-	// RetryAfter is the hint sent on shed responses (default 1s).
-	RetryAfter time.Duration
-	// MaxBodyBytes bounds a query body (default 1 MiB).
-	MaxBodyBytes int64
 	// QueryCache is the LRU capacity of compiled (kb, goal) engines
 	// (default 64).
 	QueryCache int
-	// Dispatch selects the execution core every query runs under
-	// (legacy, nofuse, fused; default auto).
-	Dispatch symbol.Dispatch
 	// BatchWindow is how long an admitted single-shot query may park
 	// waiting for coalescing company (default 2ms). A window closes early
 	// when its batch fills (MaxBatch); when every admitted request is
 	// already parked it closes after a short linger (a small fraction of
-	// the window), so an idle server answers a lone query in well under
-	// the full window's latency.
+	// the window, though never shorter than the platform's timer
+	// resolution; see DESIGN.md §13).
 	BatchWindow time.Duration
 	// MaxBatch bounds the members of one coalesced batch (default
-	// MaxInFlight).
+	// MaxInFlight). MaxBatch 1 is the uncoalesced server: every batch is
+	// full on arrival and runs at once, waiting neither window nor linger.
 	MaxBatch int
-	// DisableBatching turns request coalescing off: every single-shot query
-	// gets its own engine run.
-	DisableBatching bool
-	// NegCacheTTL bounds how long a (kb, goal) compile error stays
-	// negatively cached (default 5s). After it a retry recompiles, so a
-	// fixed KB reload or a transient resource-shaped failure cannot poison
-	// the key forever.
-	NegCacheTTL time.Duration
 	// CursorTTL bounds how long a paginated query's suspended stream stays
 	// parked waiting for the next page (default 30s). A parked stream holds
 	// its admission slot and a pooled machine state, so expiry is the
@@ -128,17 +111,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
 	if c.PressureInterval <= 0 {
 		c.PressureInterval = 250 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.QueryCache <= 0 {
 		c.QueryCache = 64
@@ -149,9 +123,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = c.MaxInFlight
 	}
-	if c.NegCacheTTL <= 0 {
-		c.NegCacheTTL = 5 * time.Second
-	}
 	if c.CursorTTL <= 0 {
 		c.CursorTTL = 30 * time.Second
 	}
@@ -160,6 +131,17 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// Fixed serving constants: the Retry-After hint on shed responses (whole
+// seconds), the largest query body read, and how long a (kb, goal) compile
+// error stays negatively cached. After negCacheTTL a retry recompiles, so
+// a fixed KB reload or a transient resource-shaped failure cannot poison
+// the key forever.
+const (
+	retryAfter   = "1"
+	maxBodyBytes = 1 << 20
+	negCacheTTL  = 5 * time.Second
+)
 
 // KB is one preloaded knowledge base: a named Prolog source served at
 // /run/{name} (its own main/0, pooled engine) and queryable at
@@ -197,7 +179,7 @@ type Server struct {
 	cache   *engineCache
 	cursors *cursorTable
 	quotas  *quotaTable
-	batch   *batcher // nil when batching is disabled
+	batch   *batcher
 
 	draining    atomic.Bool
 	drainCtx    context.Context
@@ -214,7 +196,7 @@ func New(cfg Config, kbs ...KB) (*Server, error) {
 		cfg: cfg,
 		kbs: map[string]*kbEntry{},
 	}
-	s.cache = newEngineCache(cfg.QueryCache, cfg.NegCacheTTL)
+	s.cache = newEngineCache(cfg.QueryCache, negCacheTTL)
 	for _, kb := range kbs {
 		if kb.Name == "" {
 			return nil, fmt.Errorf("serve: knowledge base with empty name")
@@ -260,9 +242,7 @@ func New(cfg Config, kbs ...KB) (*Server, error) {
 	s.quotas = newQuotaTable(cfg)
 	s.flight = newInflightTracker()
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
-	if !cfg.DisableBatching {
-		s.batch = newBatcher(s)
-	}
+	s.batch = newBatcher(s)
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.protect(s.handleHealthz))
@@ -485,7 +465,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, resp Response) {
 // as a typed header and in the body.
 func (s *Server) shed(w http.ResponseWriter, status int, reason obs.ShedReason) {
 	s.met.RecordShed(reason)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.999)))
+	w.Header().Set("Retry-After", retryAfter)
 	w.Header().Set(ShedReasonHeader, reason.String())
 	s.writeJSON(w, status, Response{Error: "overloaded: " + reason.String()})
 }
@@ -594,7 +574,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	goal := r.URL.Query().Get("q")
 	if r.Method == http.MethodPost {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			s.writeJSON(w, http.StatusRequestEntityTooLarge, Response{KB: kb.name, Error: "query body too large"})
 			return
@@ -725,37 +705,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, kbName strin
 		return
 	}
 
-	if s.batch != nil {
-		// Coalesced path: park in the engine's batch and wait for the
-		// shared run's answer. The wall budget travels in the run options
-		// (so a timeout is the typed fault.Deadline), and drain hard-cancel
-		// reaches the run through the batch context, so the background
-		// runCtx below never owes writeRunError a deadline.
-		res, err := s.batch.submit(r.Context(), eng, adm.opts, adm.timeout)
-		if err != nil {
-			s.writeRunError(w, r, context.Background(), kbName, adm.tenant.Name, err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, Response{
-			OK:     res.Succeeded,
-			KB:     kbName,
-			Tenant: adm.tenant.Name,
-			Output: res.Output,
-			Steps:  res.Steps,
-			WallNS: int64(res.Stats.Wall),
-		})
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), adm.timeout)
-	defer cancel()
-	// Hard drain cancels this run (it terminates as typed fault.Canceled).
-	stop := context.AfterFunc(s.drainCtx, cancel)
-	defer stop()
-
-	res, err := eng.Run(ctx, adm.opts)
+	// Park in the engine's batch and wait for the shared run's answer. The
+	// wall budget travels in the run options (so a timeout is the typed
+	// fault.Deadline), and drain hard-cancel reaches the run through the
+	// batch context, so writeRunError needs no run context of its own.
+	res, err := s.batch.submit(r.Context(), eng, adm.opts, adm.timeout)
 	if err != nil {
-		s.writeRunError(w, r, ctx, kbName, adm.tenant.Name, err)
+		s.writeRunError(w, r, context.Background(), kbName, adm.tenant.Name, err)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, Response{
@@ -929,7 +885,7 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, runCtx co
 		switch {
 		case s.drainCtx.Err() != nil:
 			status = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.RetryAfter.Seconds()+0.999)))
+			w.Header().Set("Retry-After", retryAfter)
 		case r.Context().Err() != nil:
 			s.met.RecordClientGone()
 			status = StatusClientClosed

@@ -93,7 +93,6 @@ func (s *Server) budget(r *http.Request, t Tenant) (symbol.RunOptions, time.Dura
 		CPWords:    t.CPWords,
 		TrailWords: t.TrailWords,
 		PDLWords:   t.PDLWords,
-		Dispatch:   s.cfg.Dispatch,
 	}
 	timeout := t.Timeout
 	if timeout <= 0 {

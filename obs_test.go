@@ -318,6 +318,30 @@ func TestSimulateContextStats(t *testing.T) {
 	}
 }
 
+// TestSimulateFaultKeepsEvents checks that a VLIW run that faults still
+// returns the events it traced up to the fault, on both simulation entry
+// points, as Program.Run does on the sequential side.
+func TestSimulateFaultKeepsEvents(t *testing.T) {
+	prog := mustLoad(t, `
+		app([], Y, Y).
+		app([H|T], Y, [H|Z]) :- app(T, Y, Z).
+		main :- app([1,2,3,4,5,6,7,8], [9], R), write(R), nl.
+	`)
+	opts := RunOptions{MaxCycles: 30, TraceEvents: 5}
+	sim, err := prog.Simulate(context.Background(), opts)
+	if !errors.Is(err, ErrCycleLimit) || sim == nil || sim.Succeeded || len(sim.Events) == 0 {
+		t.Errorf("Program.Simulate: err=%v, record %+v, want ErrCycleLimit with the events so far", err, sim)
+	}
+	sched, err := prog.ScheduleWith(DefaultMachine(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err = sched.SimulateWith(opts)
+	if !errors.Is(err, ErrCycleLimit) || sim == nil || sim.Succeeded || len(sim.Events) == 0 {
+		t.Errorf("Scheduled.SimulateWith: err=%v, record %+v, want ErrCycleLimit with the events so far", err, sim)
+	}
+}
+
 // TestScheduleWithOptions checks the functional-option scheduling entry
 // point against the struct form it wraps.
 func TestScheduleWithOptions(t *testing.T) {

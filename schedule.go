@@ -36,11 +36,6 @@ func WithBasicBlocksOnly() ScheduleOption {
 	return func(o *ScheduleOptions) { o.BasicBlocksOnly = true }
 }
 
-// WithMaxTraceBlocks bounds trace growth.
-func WithMaxTraceBlocks(n int) ScheduleOption {
-	return func(o *ScheduleOptions) { o.MaxTraceBlocks = n }
-}
-
 // WithScheduleOptions replaces the whole option struct; later options still
 // apply on top.
 func WithScheduleOptions(opts ScheduleOptions) ScheduleOption {
@@ -58,9 +53,6 @@ type ScheduleOptions struct {
 	// NoTailDuplication disables growing traces through join points by
 	// cloning (ablation of the code-size/trace-length trade-off).
 	NoTailDuplication bool
-	// TailDupOpsPercent overrides the duplication budget as a percentage
-	// of the program size (0 = default).
-	TailDupOpsPercent int
 }
 
 // Scheduled is a compacted program ready for cycle-accurate simulation.
@@ -74,7 +66,7 @@ type Scheduled struct {
 // configured by functional options:
 //
 //	sched, err := prog.ScheduleWith(symbol.DefaultMachine(3),
-//	    symbol.WithMaxTraceBlocks(8))
+//	    symbol.WithScheduleOptions(symbol.ScheduleOptions{MaxTraceBlocks: 8}))
 func (p *Program) ScheduleWith(conf MachineConfig, opts ...ScheduleOption) (_ *Scheduled, err error) {
 	defer guard(&err)
 	var o ScheduleOptions
@@ -98,9 +90,6 @@ func (p *Program) scheduleOpts(conf MachineConfig, opts ScheduleOptions) (*Sched
 	}
 	if opts.NoTailDuplication {
 		copts.TailDuplication = false
-	}
-	if opts.TailDupOpsPercent > 0 {
-		copts.TailDupMaxOps = opts.TailDupOpsPercent
 	}
 	vp, stats, err := core.Compact(p.icp, prof, conf, copts)
 	if err != nil {
@@ -154,7 +143,8 @@ func (s *Scheduled) Simulate() (*SimResult, error) {
 }
 
 // SimulateWith runs the compacted program under explicit resource bounds,
-// with the same typed-fault and catch/3 semantics as Program.Run.
+// with the same typed-fault and catch/3 semantics as Program.Run. A run
+// that faults returns its traced events beside the error.
 func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 	defer guard(&err)
 	if err := opts.Validate(); err != nil {
@@ -174,23 +164,30 @@ func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 		Events:    trace,
 	})
 	st.Release()
-	if err != nil {
-		return nil, err
+	return simResult(r, trace), err
+}
+
+// simResult builds the SimResult of a VLIW run and copies in its traced
+// events. r is nil when the run faulted: the result then carries only the
+// events, with Succeeded false.
+func simResult(r *vliw.SimResult, t *obs.Trace) *SimResult {
+	sr := &SimResult{}
+	if r != nil {
+		*sr = SimResult{
+			Succeeded: r.Status == 0,
+			Output:    r.Output,
+			Cycles:    r.Cycles,
+			Words:     r.Words,
+			Ops:       r.Ops,
+			Bubble:    r.Bubble,
+			Stats:     r.Stats,
+		}
 	}
-	sr := &SimResult{
-		Succeeded: r.Status == 0,
-		Output:    r.Output,
-		Cycles:    r.Cycles,
-		Words:     r.Words,
-		Ops:       r.Ops,
-		Bubble:    r.Bubble,
-		Stats:     r.Stats,
+	if t != nil {
+		sr.Events = t.Events()
+		sr.EventsDropped = t.Dropped()
 	}
-	if trace != nil {
-		sr.Events = trace.Events()
-		sr.EventsDropped = trace.Dropped()
-	}
-	return sr, nil
+	return sr
 }
 
 // SeqCycles computes the pure sequential machine's cycle count from the
