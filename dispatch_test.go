@@ -81,3 +81,29 @@ func TestWithDispatchRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestNoFuseFirstUseConcurrent: the plain stream is built on the first
+// nofuse run, so concurrent first runs race to build it. Each must give
+// the fused run's output and steps (and, under -race, no data race).
+func TestNoFuseFirstUseConcurrent(t *testing.T) {
+	prog := mustLoad(t, benchMust(t, "queens_8"))
+	e := NewEngine(prog)
+	ctx := context.Background()
+	want, err := e.Run(ctx, RunOptions{Dispatch: DispatchFused})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := make([]BatchRun, 8)
+	for i := range runs {
+		runs[i].Opts = RunOptions{Dispatch: DispatchNoFuse}
+	}
+	for i, g := range e.RunBatch(ctx, runs) {
+		if g.Err != nil {
+			t.Fatalf("nofuse run %d: %v", i, g.Err)
+		}
+		if g.Result.Output != want.Output || g.Result.Steps != want.Steps {
+			t.Fatalf("nofuse run %d: %q in %d steps, fused %q in %d steps",
+				i, g.Result.Output, g.Result.Steps, want.Output, want.Steps)
+		}
+	}
+}

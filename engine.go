@@ -64,11 +64,24 @@ func (e *Engine) acquire() *ic.State {
 	return st
 }
 
-// release resets st (O(dirty) — only the pages the run wrote) and returns
-// it to the process-wide idle list for the next query of any engine.
-func (e *Engine) release(st *ic.State) {
-	e.met.RecordReset(st.DirtyPages())
-	st.Release()
+// settle is settleState, counting the pages a clean run's reset clears.
+func (e *Engine) settle(st *ic.State, clean bool) {
+	if clean {
+		e.met.RecordReset(st.DirtyPages())
+	}
+	settleState(st, clean)
+}
+
+// settleState ends a run's hold on st. When the run returned (clean), st is
+// reset (O(dirty) — only the pages the run wrote) and goes back to the
+// process-wide idle list for the next run in the process. After a guarded
+// panic a store may be missing from its dirty set, so st is freed instead.
+func settleState(st *ic.State, clean bool) {
+	if clean {
+		st.Release()
+	} else {
+		st.Free()
+	}
 }
 
 // interruptOf exposes a context's cancellation signal to the executors
@@ -123,14 +136,10 @@ func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error
 	}()
 	st := e.acquire()
 	// On a guarded panic the state's dirty set may be incomplete, so the
-	// state is dropped (not recycled) rather than risk leaking a word into
+	// state is freed (not recycled) rather than risk leaking a word into
 	// the next query; errors are normal returns and recycle fine.
 	clean := false
-	defer func() {
-		if clean {
-			e.release(st)
-		}
-	}()
+	defer func() { e.settle(st, clean) }()
 	var trace *obs.Trace
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
@@ -179,14 +188,18 @@ func (e *Engine) Query(ctx context.Context, opts RunOptions) (_ *Solutions, err 
 	}
 	e.met.RecordStart()
 	// Balance RecordStart if anything below panics (guard converts it to an
-	// error return); the acquired state is dropped, not recycled.
+	// error return); the acquired state is freed, not recycled.
 	ok := false
+	var st *ic.State
 	defer func() {
 		if !ok {
 			e.met.RecordFailed(fault.None, 0)
+			if st != nil {
+				st.Free()
+			}
 		}
 	}()
-	st := e.acquire()
+	st = e.acquire()
 	var trace *obs.Trace
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
@@ -240,11 +253,7 @@ func (e *Engine) Simulate(ctx context.Context, opts RunOptions) (_ *SimResult, e
 	}()
 	st := e.acquire()
 	clean := false
-	defer func() {
-		if clean {
-			e.release(st)
-		}
-	}()
+	defer func() { e.settle(st, clean) }()
 	var trace *obs.Trace
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)

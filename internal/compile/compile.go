@@ -11,6 +11,7 @@ package compile
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"symbol/internal/bam"
@@ -34,7 +35,8 @@ type Compiler struct {
 	atoms     *term.Table
 	preds     map[term.Indicator]*npred
 	order     []term.Indicator
-	code      []bam.Instr
+	code      []bam.Instr   // the chunk emit is filling
+	full      [][]bam.Instr // chunks filled before it, in order
 	nextLabel int
 	nextTemp  ic.Reg
 	auxN      int
@@ -97,7 +99,18 @@ func (c *Compiler) newTemp() ic.Reg {
 	return r
 }
 
-func (c *Compiler) emit(in bam.Instr) { c.code = append(c.code, in) }
+func (c *Compiler) emit(in bam.Instr) {
+	// The code grows in chunks that are never copied, and Compile joins
+	// them once at their exact total: growing one slice by append would
+	// copy the large bam.Instr records about three times over.
+	if len(c.code) == cap(c.code) {
+		if len(c.code) > 0 {
+			c.full = append(c.full, c.code)
+		}
+		c.code = make([]bam.Instr, 0, min(max(2*cap(c.code), 64), 1024))
+	}
+	c.code = append(c.code, in)
+}
 
 // AddClause adds one program clause (a fact or H :- B term).
 func (c *Compiler) AddClause(t term.Term) error {
@@ -335,7 +348,8 @@ func (c *Compiler) Compile() (*bam.Unit, error) {
 	if c.usedMeta {
 		c.emitMetaDispatcher()
 	}
-	return &bam.Unit{Code: c.code, NumLabels: c.nextLabel, NextTemp: c.nextTemp, Entry: entry.String()}, nil
+	code := slices.Concat(append(c.full, c.code)...)
+	return &bam.Unit{Code: code, NumLabels: c.nextLabel, NextTemp: c.nextTemp, Entry: entry.String()}, nil
 }
 
 // --- first-argument indexing ---------------------------------------------

@@ -9,6 +9,7 @@ package emu
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"time"
 
@@ -96,8 +97,9 @@ type Options struct {
 	// (memory image + register file). The machine assumes it is all zero —
 	// fresh from ic.NewState or restored by State.Reset — and marks every
 	// memory write in its dirty set. Recycling one State across runs avoids
-	// reallocating the multi-megaword memory image per query. Nil means
-	// allocate a private state for this run.
+	// remapping the multi-megaword memory image per query. Nil means make a
+	// private state: Run frees it before it returns, while a Machine from
+	// New keeps it until the Machine is collected.
 	State *ic.State
 	// Trace, if non-nil, receives one line per executed instruction with
 	// machine-state context (debugging aid; very verbose). Tracing implies
@@ -243,7 +245,11 @@ func New(prog *ic.Program, opts Options) *Machine {
 
 // Run executes the program to completion.
 func Run(prog *ic.Program, opts Options) (*Result, error) {
-	return New(prog, opts).Run()
+	m := New(prog, opts)
+	if opts.State == nil {
+		defer m.st.Free()
+	}
+	return m.Run()
 }
 
 func (m *Machine) fail(reason string) *Error {
@@ -380,7 +386,7 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		xp := exec.Of(m.prog)
 		s := &xp.Fused
 		if m.opts.NoFuse {
-			s = &xp.Plain
+			s = xp.Plain()
 		}
 		x := int(s.Entry)
 		if resume {
@@ -388,6 +394,9 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		}
 		res, err = m.runFast(s, x)
 	}
+	// The loops work on m.mem, a slice of the state's image: keep the
+	// state (and so its mapping) alive until they are done with it.
+	runtime.KeepAlive(m.st)
 	m.wallAcc += time.Since(m.start)
 	m.running = false
 	if err == nil && res.Status == 0 && m.prog.FailPC > 0 {

@@ -21,6 +21,8 @@
 package exec
 
 import (
+	"sync"
+
 	"symbol/internal/ic"
 	"symbol/internal/word"
 )
@@ -294,13 +296,35 @@ func (s *Stream) Lookup(pc int) int32 {
 	return s.bad
 }
 
-// Program is the predecoded execution image of one ic.Program: the plain
-// stream (one op per ICI, stream index == pc) and the fused stream (plain
-// plus superinstructions). Both are immutable after Predecode.
+// Program is the predecoded execution image of one ic.Program: the fused
+// stream (plain plus superinstructions) that default runs use, and the
+// plain stream (one op per ICI, stream index == pc), built on first use by
+// Plain. Both are immutable once built.
 type Program struct {
-	Plain Stream
 	Fused Stream
 	Stats Stats
+
+	src       *ic.Program
+	plainOnce sync.Once
+	plain     Stream
+}
+
+// Plain returns the plain stream, building it on first use: only the
+// unfused core and the tests that compare against it run it, so compiles
+// and snapshot boots build the fused stream alone. Safe for concurrent use.
+func (xp *Program) Plain() *Stream {
+	xp.plainOnce.Do(func() {
+		n := len(xp.src.Code)
+		plain := &xp.plain
+		plain.Ops = make([]Op, 0, n+1)
+		plain.XOf = make([]int32, n)
+		for pc := range xp.src.Code {
+			plain.XOf[pc] = int32(pc)
+			plain.Ops = append(plain.Ops, Decode1(&xp.src.Code[pc], pc))
+		}
+		finish(plain, xp.src)
+	})
+	return &xp.plain
 }
 
 // Stats summarizes the fusion pass over the static code.
@@ -588,20 +612,12 @@ func finish(s *Stream, p *ic.Program) {
 	}
 }
 
-// Predecode builds the execution image of p. Callers normally use Of,
+// Predecode builds the execution image of p: the fused stream now, the
+// plain stream when Plain first asks for it. Callers normally use Of,
 // which caches the result on the program.
 func Predecode(p *ic.Program) *Program {
 	n := len(p.Code)
-	xp := &Program{Stats: Stats{PlainOps: n, Pairs: map[XCode]int{}}}
-
-	plain := &xp.Plain
-	plain.Ops = make([]Op, 0, n+1)
-	plain.XOf = make([]int32, n)
-	for pc := range p.Code {
-		plain.XOf[pc] = int32(pc)
-		plain.Ops = append(plain.Ops, Decode1(&p.Code[pc], pc))
-	}
-	finish(plain, p)
+	xp := &Program{Stats: Stats{PlainOps: n, Pairs: map[XCode]int{}}, src: p}
 
 	targets := jumpTargets(p)
 	fused := &xp.Fused

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync"
 	"testing"
 
 	"symbol/internal/ic"
@@ -197,7 +198,7 @@ func TestTrapTargets(t *testing.T) {
 		{Op: ic.Halt},
 	})
 	xp := Predecode(p)
-	for _, s := range []*Stream{&xp.Plain, &xp.Fused} {
+	for _, s := range []*Stream{xp.Plain(), &xp.Fused} {
 		jmp := s.Ops[s.XOf[1]]
 		trap := s.Ops[jmp.Target]
 		if trap.Code != XBadPC {
@@ -228,15 +229,48 @@ func TestStreamIdentity(t *testing.T) {
 	})
 	xp := Predecode(p)
 	for pc := range p.Code {
-		if xp.Plain.XOf[pc] != int32(pc) {
-			t.Fatalf("plain XOf[%d] = %d", pc, xp.Plain.XOf[pc])
+		if xp.Plain().XOf[pc] != int32(pc) {
+			t.Fatalf("plain XOf[%d] = %d", pc, xp.Plain().XOf[pc])
 		}
 	}
-	if xp.Plain.Entry != int32(p.Entry) {
-		t.Fatalf("plain entry %d, want %d", xp.Plain.Entry, p.Entry)
+	if xp.Plain().Entry != int32(p.Entry) {
+		t.Fatalf("plain entry %d, want %d", xp.Plain().Entry, p.Entry)
 	}
-	if xp.Plain.Throw != -1 {
-		t.Fatalf("throwless program has Throw %d, want -1", xp.Plain.Throw)
+	if xp.Plain().Throw != -1 {
+		t.Fatalf("throwless program has Throw %d, want -1", xp.Plain().Throw)
+	}
+}
+
+// TestPlainIsLazy: Predecode builds the fused stream only; the plain
+// stream is built once, on the first Plain call, however many goroutines
+// ask for it at once.
+func TestPlainIsLazy(t *testing.T) {
+	p := mkProg([]ic.Inst{
+		{Op: ic.Nop},
+		{Op: ic.MovI, D: t0, Word: word.MakeInt(5)},
+		{Op: ic.Halt},
+	})
+	xp := Predecode(p)
+	if xp.plain.Ops != nil {
+		t.Fatal("Predecode built the plain stream")
+	}
+	got := make([]*Stream, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = xp.Plain()
+		}()
+	}
+	wg.Wait()
+	for _, s := range got {
+		if s != got[0] {
+			t.Fatal("Plain built the stream more than once")
+		}
+	}
+	if n := len(got[0].Ops); n != len(p.Code)+1 {
+		t.Fatalf("plain stream has %d ops, want %d (one per ICI plus the trap)", n, len(p.Code)+1)
 	}
 }
 

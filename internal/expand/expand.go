@@ -182,6 +182,9 @@ func (a *asm) immWord(v bam.Val) word.W {
 // Translate lowers a BAM unit into an executable IC program.
 func Translate(u *bam.Unit, atoms *term.Table) (*ic.Program, error) {
 	a := &asm{
+		// Lowering takes about 1.5 ICIs per BAM instruction, plus the
+		// runtime routines; presizing spares the copies append would make.
+		code:   make([]ic.Inst, 0, len(u.Code)*3/2+256),
 		atoms:  atoms,
 		labels: map[int]int{},
 		procs:  map[string]int{},

@@ -24,7 +24,15 @@ const (
 // simulator's per-register ready cycles. It exists so that an embedding
 // process serving many queries can recycle the multi-megaword memory image
 // through the process-wide idle list (Acquire, Release) instead of
-// allocating and faulting it in from scratch on every run.
+// mapping and faulting it in from scratch on every run.
+//
+// On unix the image is an anonymous mapping outside the Go heap (mem_unix.go),
+// so it costs the pages a run dirties, and the collector neither counts nor
+// scans it. The mapping is given back deterministically: Release unmaps a
+// state the idle list has no room for, and Free unmaps one at once (a state
+// dropped after a panic, or one an executor made for a single run). A
+// finalizer unmaps a state nobody released. An executor that slices Mem
+// must therefore keep its State reachable for as long as it uses the slice.
 //
 // A State is NOT safe for concurrent use; it represents one machine. The
 // contract with the executors:
@@ -35,25 +43,44 @@ const (
 //   - Reset restores the all-zero state in time proportional to the pages
 //     dirtied since the previous Reset.
 type State struct {
-	mem   []word.W
-	regs  []word.W
-	ready []int64
+	mem    []word.W
+	mapped bool // mem is an anonymous mapping (unmapped by Free)
+	regs   []word.W
+	ready  []int64
 
 	dirty    []int32 // indices of dirtied pages, in first-touch order
 	dirtyBit []bool  // per-page dirty flag
 }
 
-// NewState allocates a zeroed machine state sized for the compile-time
-// memory layout. Executors that run many queries take states from Acquire
-// instead.
+// NewState makes a zeroed machine state sized for the compile-time memory
+// layout. Executors that run many queries take states from Acquire
+// instead. A caller that makes a state for one run should Free it
+// afterwards; otherwise the image lives until a collection finds the state
+// unreachable.
 func NewState() *State {
-	return &State{
-		mem:      make([]word.W, MemWords),
-		dirtyBit: make([]bool, numPages),
+	s := &State{dirtyBit: make([]bool, numPages)}
+	s.mem, s.mapped = newMem()
+	if s.mapped {
+		runtime.SetFinalizer(s, (*State).Free)
 	}
+	return s
 }
 
-// Mem returns the simulated memory image (always MemWords long).
+// Free gives the memory image back now. s must not be used afterwards, nor
+// any slice of Mem taken before; Free is idempotent.
+func (s *State) Free() {
+	if s.mapped {
+		s.mapped = false
+		runtime.SetFinalizer(s, nil)
+		unmapMem(s.mem)
+	}
+	s.mem = nil
+}
+
+// Mem returns the simulated memory image (always MemWords long). The slice
+// is valid only while s is reachable and not freed: a caller that holds it
+// across its last use of s must runtime.KeepAlive(s) past the slice's last
+// use.
 func (s *State) Mem() []word.W { return s.mem }
 
 // Regs returns a zeroed register file of at least n registers, reusing the
@@ -192,17 +219,21 @@ func Acquire() (st *State, fresh bool) {
 
 // Release resets s and puts it on the idle list for the next Acquire. The
 // list keeps at most runtime.GOMAXPROCS(0) states, the number of runs that
-// can execute at once; a state released past that cap is left to the
-// collector. The caller must not use s afterwards, and must drop a state
-// instead of releasing it when a run may have written memory without
-// marking it (a panic mid-store), because Reset clears only marked pages.
+// can execute at once; a state released past that cap is freed. The caller
+// must not use s afterwards, and must Free a state instead of releasing it
+// when a run may have written memory without marking it (a panic
+// mid-store), because Reset clears only marked pages.
 func (s *State) Release() {
 	s.Reset()
 	idle.mu.Lock()
-	if len(idle.states) < runtime.GOMAXPROCS(0) {
+	kept := len(idle.states) < runtime.GOMAXPROCS(0)
+	if kept {
 		idle.states = append(idle.states, s)
 	}
 	idle.mu.Unlock()
+	if !kept {
+		s.Free()
+	}
 }
 
 // Idle reports how many reset states are on the idle list.

@@ -29,7 +29,9 @@ import (
 func Fold(prog *ic.Program) *ic.Program {
 	leaders := findLeaders(prog)
 
-	var out []ic.Inst
+	// Folding only drops instructions: a flush re-materializes at most one
+	// Add per pending delta, and each delta absorbed at least one Add.
+	out := make([]ic.Inst, 0, len(prog.Code))
 	remap := make([]int, len(prog.Code)+1)
 
 	// Pending increments. Only nonzero deltas are kept, so a flush walks

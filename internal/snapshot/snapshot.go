@@ -176,11 +176,16 @@ func appendSections(version uint32, secs []struct {
 	id      uint32
 	payload []byte
 }) []byte {
+	off := uint64(headerLen + entryLen*len(secs) + 4)
+	size := off
+	for _, s := range secs {
+		size += uint64(len(s.payload))
+	}
 	var w wire.Writer
+	w.Grow(int(size))
 	w.Raw([]byte(Magic))
 	w.Bytes32(version)
 	w.Bytes32(uint32(len(secs)))
-	off := uint64(headerLen + entryLen*len(secs) + 4)
 	for _, s := range secs {
 		w.Bytes32(s.id)
 		w.Bytes64(off)

@@ -86,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("symbol maps mismatch")
 	}
 	want := exec.Predecode(img.Prog)
-	if !reflect.DeepEqual(got.Exec.Plain, want.Plain) {
+	if !reflect.DeepEqual(got.Exec.Plain(), want.Plain()) {
 		t.Errorf("plain stream mismatch")
 	}
 	if !reflect.DeepEqual(got.Exec.Fused, want.Fused) {
@@ -372,7 +372,7 @@ func TestDecodeSkipsExecSection(t *testing.T) {
 		t.Fatalf("Decode: %v", err)
 	}
 	want := exec.Predecode(img.Prog)
-	if !reflect.DeepEqual(img.Exec.Plain, want.Plain) || !reflect.DeepEqual(img.Exec.Fused, want.Fused) {
+	if !reflect.DeepEqual(img.Exec.Plain(), want.Plain()) || !reflect.DeepEqual(img.Exec.Fused, want.Fused) {
 		t.Error("Decode's streams differ from Predecode of the decoded program")
 	}
 	sameRuns(t, installExec(img), u.IC, ic.NewState())

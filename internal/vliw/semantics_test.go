@@ -512,7 +512,7 @@ func TestOpcodeSemantics(t *testing.T) {
 		prog, start := c.program(c.body)
 		xp := exec.Of(prog)
 		for pc := start; pc < start+len(c.body); pc++ {
-			seen[xp.Plain.Ops[pc].Code] = true
+			seen[xp.Plain().Ops[pc].Code] = true
 		}
 		if c.fused != 0 {
 			if got := xp.Fused.Ops[xp.Fused.XOf[start]].Code; got != c.fused {

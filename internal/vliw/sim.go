@@ -44,7 +44,8 @@ type SimOptions struct {
 	Interrupt <-chan struct{}
 	// State, when non-nil, is the caller-provided machine state (memory
 	// image, register file, ready cycles) to run in; it must be all zero.
-	// Mirrors emu.Options.State.
+	// Nil means a private state, freed before Sim returns. Mirrors
+	// emu.Options.State.
 	State *ic.State
 	// Trace, if non-nil, receives one line per executed word (debug aid).
 	Trace io.Writer
@@ -104,6 +105,7 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 	st := opts.State
 	if st == nil {
 		st = ic.NewState()
+		defer st.Free()
 	}
 	nregs := int(p.MaxReg()) + 1
 	regs := st.Regs(nregs)

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrTruncated reports input that ended inside a value.
@@ -37,6 +38,10 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the number of bytes written so far.
 func (w *Writer) Len() int { return len(w.buf) }
+
+// Grow makes room for n more bytes, so a writer that knows its output size
+// appends without copying.
+func (w *Writer) Grow(n int) { w.buf = slices.Grow(w.buf, n) }
 
 // Byte appends one raw byte.
 func (w *Writer) Byte(b byte) { w.buf = append(w.buf, b) }

@@ -154,8 +154,9 @@ func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
 	}
-	// A panic skips the Release: the state is dropped, not recycled.
 	st, _ := ic.Acquire()
+	clean := false
+	defer func() { settleState(st, clean) }()
 	r, err := vliw.Sim(s.vprog, vliw.SimOptions{
 		MaxCycles: opts.MaxCycles,
 		Layout:    opts.layout(),
@@ -163,7 +164,7 @@ func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 		State:     st,
 		Events:    trace,
 	})
-	st.Release()
+	clean = true
 	return simResult(r, trace), err
 }
 

@@ -180,7 +180,7 @@ func (s *Solutions) Close() error {
 
 // finish settles the stream exactly once: record the terminal metrics
 // outcome (balancing the RecordStart made by Query) and dispose of the
-// machine state — recycled normally, dropped if a panic may have left its
+// machine state — recycled normally, freed if a panic may have left its
 // dirty set incomplete.
 func (s *Solutions) finish(record func()) {
 	if s.finished {
@@ -188,9 +188,7 @@ func (s *Solutions) finish(record func()) {
 	}
 	s.finished = true
 	record()
-	if !s.poisoned {
-		s.eng.release(s.st)
-	}
+	s.eng.settle(s.st, !s.poisoned)
 }
 
 // All adapts the stream to a range-over-func iterator. The stream is

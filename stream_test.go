@@ -3,6 +3,7 @@ package symbol
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,6 +101,42 @@ func TestQueryStreamDifferential(t *testing.T) {
 				t.Fatalf("%s: solution %d steps %d, fused %d",
 					m.name, i, sols[i].Steps, ref[i].Steps)
 			}
+		}
+	}
+}
+
+// TestSuspendedStreamSurvivesCollection: a suspended stream holds its
+// machine state, and the state's memory image, on its own. With the engine
+// dropped and two collections forced at every suspension, the stream must
+// resume to the same answers and step counts as an uninterrupted run.
+func TestSuspendedStreamSurvivesCollection(t *testing.T) {
+	b, err := benchprog.Get("queens_8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := streamAll(t, b.Source, "queens(8, Qs)", RunOptions{})
+	prog := mustLoad(t, b.Source, WithGoal("queens(8, Qs)"))
+	sols, err := NewEngine(prog).Query(context.Background(), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sols.Close()
+	var got []*Result
+	for sols.Next() {
+		got = append(got, sols.Result())
+		runtime.GC()
+		runtime.GC()
+	}
+	if err := sols.Err(); err != nil {
+		t.Fatalf("stream error after %d solutions: %v", len(got), err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d solutions, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Output != want[i].Output || got[i].Steps != want[i].Steps {
+			t.Fatalf("solution %d: %q in %d steps, uninterrupted %q in %d steps",
+				i, got[i].Output, got[i].Steps, want[i].Output, want[i].Steps)
 		}
 	}
 }

@@ -424,10 +424,11 @@ func (r *Result) withEvents(t *obs.Trace) *Result {
 func (p *Program) Profile() (*emu.Profile, error) {
 	p.profOnce.Do(func() {
 		defer guard(&p.profErr)
-		// A panic skips the Release: the state is dropped, not recycled.
 		st, _ := ic.Acquire()
+		clean := false
+		defer func() { settleState(st, clean) }()
 		res, err := emu.Run(p.icp, emu.Options{MaxSteps: p.opts.MaxSteps, Profile: true, State: st})
-		st.Release()
+		clean = true
 		if err != nil {
 			p.profErr = err
 			return
