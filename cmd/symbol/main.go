@@ -13,7 +13,7 @@
 // Every file is Prolog source or a snapshot written by compile -o; both
 // load through symbol.Load. -bench names a program of the embedded corpus
 // instead (serve also takes all). run, sim and serve share -max-steps and
-// -timeout; run and sim share -dispatch; compile and sim share -units.
+// -timeout; compile and sim share -units.
 package main
 
 import (
@@ -85,7 +85,6 @@ type flags struct {
 	*flag.FlagSet
 	maxSteps int64
 	timeout  time.Duration
-	dispatch string
 	bench    string
 	units    string
 }
@@ -103,18 +102,12 @@ func (f *flags) limits() {
 	f.DurationVar(&f.timeout, "timeout", 0, "wall-clock limit of one query or run (0 = none; serve: 5s)")
 }
 
-// core defines -dispatch. serve has none: it runs every query on the
-// default core.
-func (f *flags) core() {
-	f.StringVar(&f.dispatch, "dispatch", "auto", "execution core: auto, legacy, nofuse or fused")
-}
-
 // unitCounts defines -units with the subcommand's default.
 func (f *flags) unitCounts(def string) {
 	f.StringVar(&f.units, "units", def, "comma-separated VLIW unit counts")
 }
 
-// parse parses the command line and checks -dispatch.
+// parse parses the command line.
 func (f *flags) parse(args []string) error {
 	if err := f.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -122,14 +115,12 @@ func (f *flags) parse(args []string) error {
 		}
 		return errUsage
 	}
-	_, err := symbol.ParseDispatch(f.dispatch)
-	return err
+	return nil
 }
 
 // runOptions bounds one query or run; the -timeout clock starts now.
 func (f *flags) runOptions() symbol.RunOptions {
-	d, _ := symbol.ParseDispatch(f.dispatch) // checked by parse
-	o := symbol.RunOptions{MaxSteps: f.maxSteps, MaxCycles: f.maxSteps, Dispatch: d}
+	o := symbol.RunOptions{MaxSteps: f.maxSteps, MaxCycles: f.maxSteps}
 	if f.timeout > 0 {
 		o.Deadline = time.Now().Add(f.timeout)
 	}
@@ -199,7 +190,6 @@ func (f *flags) one(ctx context.Context) (*symbol.Program, string, error) {
 func cmdRun(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	f := newFlags("run", stderr)
 	f.limits()
-	f.core()
 	query := f.String("q", "", "answer this query and exit (default: read queries from stdin)")
 	nsol := f.Int("solutions", 1, "answers to print per query, separated by ';' (< 1 = all)")
 	stats := f.Bool("stats", false, "print the last answer's execution stats to stderr")
@@ -394,7 +384,6 @@ func cmdCompile(ctx context.Context, args []string, _ io.Reader, stdout, stderr 
 func cmdSim(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.Writer) error {
 	f := newFlags("sim", stderr)
 	f.limits()
-	f.core()
 	f.unitCounts("1,2,3,5")
 	list := f.Bool("list", false, "list the corpus programs")
 	if err := f.parse(args); err != nil {
@@ -434,7 +423,7 @@ func cmdSim(ctx context.Context, args []string, _ io.Reader, stdout, stderr io.W
 		if err != nil {
 			return err
 		}
-		sim, err := sched.SimulateWith(f.runOptions())
+		sim, err := sched.SimulateWith(ctx, f.runOptions())
 		if err != nil {
 			return err
 		}

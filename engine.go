@@ -4,7 +4,6 @@ import (
 	"context"
 	"expvar"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,6 @@ import (
 	"symbol/internal/fault"
 	"symbol/internal/ic"
 	"symbol/internal/obs"
-	"symbol/internal/vliw"
 )
 
 // Engine is a goroutine-safe query engine over one compiled Program. It
@@ -30,27 +28,18 @@ import (
 // paper's memory-operation analysis (~32% of the dynamic mix) says the hot
 // path lives.
 //
-// All methods are safe for concurrent use. Per-run RunOptions keep their
-// full fault and budget semantics: shrunken areas, step/cycle budgets and
-// deadlines behave identically to Program.Run / Scheduled.SimulateWith.
+// All methods are safe for concurrent use. Each run keeps its own
+// RunOptions semantics: shrunken areas, step budgets, deadlines and typed
+// faults.
 type Engine struct {
 	prog *Program
 	met  obs.Metrics
-
-	schedOnce sync.Once
-	sched     *Scheduled
-	schedErr  error
 }
 
-// NewEngine returns an engine over p that simulates, when asked, on the
-// paper's default 3-unit machine. Scheduling (and the profiling run it
-// needs) happens lazily on the first Simulate call.
+// NewEngine returns an engine over p.
 func NewEngine(p *Program) *Engine {
 	return &Engine{prog: p}
 }
-
-// Program returns the compiled program the engine serves.
-func (e *Engine) Program() *Program { return e.prog }
 
 // acquire takes a zeroed machine state from the process-wide idle list,
 // counting a pool miss when the list was empty and a fresh state had to be
@@ -106,6 +95,64 @@ func deadlineOf(ctx context.Context, opts RunOptions) RunOptions {
 	return opts
 }
 
+// seqRun is one sequential execution begun by Engine.begin. Until it is
+// settled it holds one in-flight metrics slot and one machine state.
+type seqRun struct {
+	m        *emu.Machine
+	st       *ic.State
+	trace    *obs.Trace
+	deadline time.Time // RunOptions.Deadline merged with the ctx deadline
+}
+
+// begin starts one sequential execution for Run or Query: it validates
+// opts, merges the ctx deadline, defaults MaxSteps to the program's budget,
+// counts the start, checks out a machine state and builds the machine over
+// it. Options that fail Validate are counted as rejected and start nothing.
+func (e *Engine) begin(ctx context.Context, opts RunOptions) (r seqRun, err error) {
+	if err := opts.Validate(); err != nil {
+		e.met.RecordRejected()
+		return r, err
+	}
+	opts = deadlineOf(ctx, opts)
+	if opts.MaxSteps == 0 {
+		opts.MaxSteps = e.prog.opts.MaxSteps
+	}
+	e.met.RecordStart()
+	defer func() {
+		if r.m == nil { // a guarded panic below
+			e.abort(r.st, 0)
+		}
+	}()
+	r.st = e.acquire()
+	if opts.TraceEvents > 0 {
+		r.trace = obs.NewTrace(opts.TraceEvents)
+	}
+	legacy, noFuse := opts.emuMode()
+	r.m = emu.New(e.prog.icp, emu.Options{
+		MaxSteps:  opts.MaxSteps,
+		Layout:    opts.layout(),
+		Deadline:  opts.Deadline,
+		Interrupt: interruptOf(ctx),
+		State:     r.st,
+		Legacy:    legacy,
+		NoFuse:    noFuse,
+		Events:    r.trace,
+	})
+	r.deadline = opts.Deadline
+	return r, nil
+}
+
+// abort settles a begun run that a guarded panic cut short. Every
+// RecordStart must be balanced or the in-flight gauge drifts, and the
+// state's dirty set may be incomplete, so st (nil if none was checked out)
+// is freed rather than recycled into the next query.
+func (e *Engine) abort(st *ic.State, wall time.Duration) {
+	e.met.RecordFailed(fault.None, wall)
+	if st != nil {
+		st.Free()
+	}
+}
+
 // Run answers one query on the sequential emulator using a recycled machine
 // state. Cancelling ctx aborts the run with ErrCanceled; a ctx deadline
 // tightens opts.Deadline. A run that faults returns its error together
@@ -114,57 +161,26 @@ func deadlineOf(ctx context.Context, opts RunOptions) RunOptions {
 // fail Validate return a nil Result.
 func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error) {
 	defer guard(&err)
-	if err := opts.Validate(); err != nil {
-		e.met.RecordRejected()
+	r, err := e.begin(ctx, opts)
+	if err != nil {
 		return nil, err
 	}
-	opts = deadlineOf(ctx, opts)
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = e.prog.opts.MaxSteps
-	}
-	e.met.RecordStart()
-	start := time.Now()
-	// Every RecordStart must be balanced or the in-flight gauge drifts; the
-	// settled flag covers the guarded-panic exit, which reaches neither the
-	// RecordFailed nor the RecordDone call below.
-	settled := false
+	done := false
 	defer func() {
-		if !settled {
-			e.met.RecordFailed(fault.None, time.Since(start))
+		if !done {
+			e.abort(r.st, r.m.Elapsed())
 		}
 	}()
-	st := e.acquire()
-	// On a guarded panic the state's dirty set may be incomplete, so the
-	// state is freed (not recycled) rather than risk leaking a word into
-	// the next query; errors are normal returns and recycle fine.
-	clean := false
-	defer func() { e.settle(st, clean) }()
-	var trace *obs.Trace
-	if opts.TraceEvents > 0 {
-		trace = obs.NewTrace(opts.TraceEvents)
-	}
-	legacy, noFuse := opts.emuMode()
-	res, err := emu.Run(e.prog.icp, emu.Options{
-		MaxSteps:  maxSteps,
-		Layout:    opts.layout(),
-		Deadline:  opts.Deadline,
-		Interrupt: interruptOf(ctx),
-		State:     st,
-		Legacy:    legacy,
-		NoFuse:    noFuse,
-		Events:    trace,
-	})
-	clean = true
+	res, err := r.m.Run()
+	done = true
+	e.settle(r.st, true)
 	if err != nil {
-		settled = true
-		e.met.RecordFailed(fault.KindOf(err), time.Since(start))
-		return (&Result{}).withEvents(trace), err
+		e.met.RecordFailed(fault.KindOf(err), r.m.Elapsed())
+		return (&Result{}).withEvents(r.trace), err
 	}
-	r := (&Result{Succeeded: res.Status == 0, Output: res.Output, Steps: res.Steps, Stats: res.Stats}).withEvents(trace)
-	settled = true
-	e.met.RecordDone(&r.Stats, r.Succeeded)
-	return r, nil
+	out := (&Result{Succeeded: res.Status == 0, Output: res.Output, Steps: res.Steps, Stats: res.Stats}).withEvents(r.trace)
+	e.met.RecordDone(&out.Stats, out.Succeeded)
+	return out, nil
 }
 
 // Query starts the query on the sequential emulator and returns a
@@ -177,123 +193,19 @@ func (e *Engine) Run(ctx context.Context, opts RunOptions) (_ *Result, err error
 // stream must always be Closed, even if never iterated.
 func (e *Engine) Query(ctx context.Context, opts RunOptions) (_ *Solutions, err error) {
 	defer guard(&err)
-	if err := opts.Validate(); err != nil {
-		e.met.RecordRejected()
-		return nil, err
-	}
-	opts = deadlineOf(ctx, opts)
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = e.prog.opts.MaxSteps
-	}
-	e.met.RecordStart()
-	// Balance RecordStart if anything below panics (guard converts it to an
-	// error return); the acquired state is freed, not recycled.
-	ok := false
-	var st *ic.State
-	defer func() {
-		if !ok {
-			e.met.RecordFailed(fault.None, 0)
-			if st != nil {
-				st.Free()
-			}
-		}
-	}()
-	st = e.acquire()
-	var trace *obs.Trace
-	if opts.TraceEvents > 0 {
-		trace = obs.NewTrace(opts.TraceEvents)
-	}
-	legacy, noFuse := opts.emuMode()
-	m := emu.New(e.prog.icp, emu.Options{
-		MaxSteps:  maxSteps,
-		Layout:    opts.layout(),
-		Deadline:  opts.Deadline,
-		Interrupt: interruptOf(ctx),
-		State:     st,
-		Legacy:    legacy,
-		NoFuse:    noFuse,
-		Events:    trace,
-	})
-	ok = true
-	return &Solutions{eng: e, m: m, st: st, trace: trace, baseDeadline: opts.Deadline}, nil
-}
-
-// Scheduled returns the engine's lazily compacted program (scheduling it on
-// first use), so callers can inspect the code the Simulate path runs.
-func (e *Engine) Scheduled() (*Scheduled, error) {
-	e.schedOnce.Do(func() {
-		e.sched, e.schedErr = e.prog.ScheduleWith(DefaultMachine(3))
-	})
-	return e.sched, e.schedErr
-}
-
-// Simulate answers one query on the cycle-level VLIW simulator using a
-// recycled machine state, scheduling the program on first use. Cancelling
-// ctx aborts the run with ErrCanceled. A run that faults returns its
-// traced events (RunOptions.TraceEvents) beside the error.
-func (e *Engine) Simulate(ctx context.Context, opts RunOptions) (_ *SimResult, err error) {
-	defer guard(&err)
-	if err := opts.Validate(); err != nil {
-		e.met.RecordRejected()
-		return nil, err
-	}
-	sched, err := e.Scheduled()
+	r, err := e.begin(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts = deadlineOf(ctx, opts)
-	e.met.RecordStart()
-	start := time.Now()
-	settled := false
-	defer func() {
-		if !settled {
-			e.met.RecordFailed(fault.None, time.Since(start))
-		}
-	}()
-	st := e.acquire()
-	clean := false
-	defer func() { e.settle(st, clean) }()
-	var trace *obs.Trace
-	if opts.TraceEvents > 0 {
-		trace = obs.NewTrace(opts.TraceEvents)
-	}
-	r, err := vliw.Sim(sched.vprog, vliw.SimOptions{
-		MaxCycles: opts.MaxCycles,
-		Layout:    opts.layout(),
-		Deadline:  opts.Deadline,
-		Interrupt: interruptOf(ctx),
-		State:     st,
-		Events:    trace,
-	})
-	clean = true
-	sr := simResult(r, trace)
-	if err != nil {
-		settled = true
-		e.met.RecordFailed(fault.KindOf(err), time.Since(start))
-		return sr, err
-	}
-	settled = true
-	e.met.RecordDone(&sr.Stats, sr.Succeeded)
-	return sr, nil
+	return &Solutions{eng: e, m: r.m, st: r.st, trace: r.trace, baseDeadline: r.deadline}, nil
 }
 
 // Metrics snapshots the engine-wide aggregate counters: queries by outcome,
 // fault breakdown, pool behaviour, and the Add-sum of every completed run's
 // Stats (Totals), plus latency and step histograms. Recording is lock-free;
-// snapshotting is safe at any time from any goroutine.
+// snapshotting is safe at any time from any goroutine. The snapshot's
+// WriteTo renders it in the Prometheus text exposition format.
 func (e *Engine) Metrics() MetricsSnapshot { return e.met.Snapshot() }
-
-// WriteMetrics renders the current metrics snapshot in the Prometheus text
-// exposition format, for mounting on any HTTP mux:
-//
-//	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-//	    eng.WriteMetrics(w)
-//	})
-func (e *Engine) WriteMetrics(w io.Writer) error {
-	_, err := e.met.Snapshot().WriteTo(w)
-	return err
-}
 
 // expvarOwners tracks which engine registered each expvar name, so
 // PublishExpvar can be idempotent (expvar itself has no unregister and
@@ -335,13 +247,6 @@ func (e *Engine) PublishExpvar(name string) error {
 	return nil
 }
 
-// Pressure reads a cheap point-in-time load signal (a few atomic loads, no
-// histogram copying): how many runs are executing right now, how many have
-// ever started, and how often a checkout found the idle state list empty
-// and had to allocate. Admission controllers can poll it on every request
-// without measurable cost.
-func (e *Engine) Pressure() Pressure { return e.met.Pressure() }
-
 // WaitIdle blocks until the engine has no runs in flight, polling the
 // in-flight gauge, or until ctx is done (returning its error). It is the
 // drain primitive: after the caller stops submitting work and cancels
@@ -352,7 +257,7 @@ func (e *Engine) WaitIdle(ctx context.Context) error {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
-		if e.met.Pressure().InFlight == 0 {
+		if e.met.InFlight() == 0 {
 			return nil
 		}
 		if ctx == nil {

@@ -33,7 +33,7 @@ func TestRunAllMidBatchCancel(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		deadline := time.Now().Add(5 * time.Second)
-		for eng.Pressure().InFlight == 0 && time.Now().Before(deadline) {
+		for eng.met.InFlight() == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
@@ -70,7 +70,7 @@ func TestRunAllMidBatchCancel(t *testing.T) {
 	if err := eng.WaitIdle(idleCtx); err != nil {
 		t.Errorf("WaitIdle after batch: %v", err)
 	}
-	if got := eng.Pressure().InFlight; got != 0 {
+	if got := eng.met.InFlight(); got != 0 {
 		t.Errorf("in-flight after settled batch = %d", got)
 	}
 
@@ -101,7 +101,7 @@ func TestWaitIdle(t *testing.T) {
 		}
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for eng.Pressure().InFlight == 0 && time.Now().Before(deadline) {
+	for eng.met.InFlight() == 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -75,14 +75,11 @@ func TestRunOptionsValidate(t *testing.T) {
 		if _, err := prog.Run(context.Background(), opts); !errors.As(err, &oe) {
 			t.Errorf("Run(%+v): got %v, want *OptionError", opts, err)
 		}
-		if _, err := sched.SimulateWith(opts); !errors.As(err, &oe) {
+		if _, err := sched.SimulateWith(context.Background(), opts); !errors.As(err, &oe) {
 			t.Errorf("SimulateWith(%+v): got %v, want *OptionError", opts, err)
 		}
 		if _, err := eng.Run(context.Background(), opts); !errors.As(err, &oe) {
 			t.Errorf("Engine.Run(%+v): got %v, want *OptionError", opts, err)
-		}
-		if _, err := eng.Simulate(context.Background(), opts); !errors.As(err, &oe) {
-			t.Errorf("Engine.Simulate(%+v): got %v, want *OptionError", opts, err)
 		}
 	}
 	if err := (RunOptions{}).Validate(); err != nil {
@@ -153,31 +150,6 @@ func TestEngineConcurrentStress(t *testing.T) {
 		if g.Result.Steps != w.res.Steps {
 			t.Fatalf("run %d (%+v): steps %d, serial %d — pooled state leaked between runs",
 				i, runs[i], g.Result.Steps, w.res.Steps)
-		}
-	}
-}
-
-// TestEngineSimulatePooled checks the engine's VLIW path against the
-// one-shot Scheduled.Simulate, including repeat runs on the same recycled
-// state.
-func TestEngineSimulatePooled(t *testing.T) {
-	prog := mustLoad(t, engineSrc)
-	sched, err := prog.ScheduleWith(DefaultMachine(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sched.Simulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(prog)
-	for i := 0; i < 3; i++ {
-		got, err := eng.Simulate(context.Background(), RunOptions{})
-		if err != nil {
-			t.Fatalf("Simulate #%d: %v", i, err)
-		}
-		if got.Succeeded != want.Succeeded || got.Output != want.Output || got.Cycles != want.Cycles {
-			t.Fatalf("Simulate #%d: got %v, want %v", i, got, want)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func runBoth(t *testing.T, src string, opts RunOptions) (seqErr, simErr error) {
 	if err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
-	_, simErr = sched.SimulateWith(opts)
+	_, simErr = sched.SimulateWith(context.Background(), opts)
 	return seqErr, simErr
 }
 
@@ -209,7 +209,7 @@ main :- catch((build(3000, L), L = [_|_], write(full), nl),
 	if err != nil || !sim.Succeeded || sim.Output != "full\n" {
 		t.Fatalf("vliw default: res=%+v err=%v", sim, err)
 	}
-	sim, err = sched.SimulateWith(opts)
+	sim, err = sched.SimulateWith(context.Background(), opts)
 	if err != nil || !sim.Succeeded || sim.Output != "recovered\n" {
 		t.Fatalf("vliw shrunken: res=%+v err=%v", sim, err)
 	}

@@ -276,22 +276,9 @@ func (s *Snapshot) Merge(o Snapshot) {
 	mergeHist(&s.StepsPerRun, o.StepsPerRun)
 }
 
-// Pressure is a cheap point-in-time load signal for admission control: a
-// few atomic loads, no histogram copying, safe to read on every request.
-type Pressure struct {
-	InFlight   int64 `json:"in_flight"`   // runs currently executing
-	Started    int64 `json:"started"`     // runs ever admitted to an executor
-	PoolMisses int64 `json:"pool_misses"` // machine-state allocations (idle list empty)
-}
-
-// Pressure reads the current load signal.
-func (m *Metrics) Pressure() Pressure {
-	return Pressure{
-		InFlight:   m.inFlight.Load(),
-		Started:    m.started.Load(),
-		PoolMisses: m.poolMisses.Load(),
-	}
-}
+// InFlight returns the number of runs executing right now: one atomic
+// load, cheap enough to poll.
+func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
 
 // promName sanitizes a label value-ish name fragment into a metric-name
 // safe token (fault kinds contain spaces and hyphens).

@@ -2,13 +2,8 @@ package symbol
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"symbol/internal/emu"
 	"symbol/internal/parse"
@@ -21,7 +16,6 @@ type LoadOption func(*loadConfig)
 type loadConfig struct {
 	opts       Options
 	goal       string
-	cacheDir   string
 	noFallback bool
 }
 
@@ -49,16 +43,6 @@ func WithGoal(goal string) LoadOption {
 	return func(c *loadConfig) { c.goal = goal }
 }
 
-// WithSnapshotCache makes Load keep a content-addressed snapshot cache for
-// source inputs under dir (created if missing). The key hashes the source,
-// the goal, the compile options and the snapshot format version, so any
-// input change misses cleanly. A hit skips parsing and compiling; corrupt
-// or stale cache files are ignored and overwritten. The cache is
-// best-effort: I/O failures fall back to a normal compile.
-func WithSnapshotCache(dir string) LoadOption {
-	return func(c *loadConfig) { c.cacheDir = dir }
-}
-
 // WithoutRecompileFallback disables the version-skew fallback: by default,
 // loading a snapshot written by a different format version recompiles from
 // the source embedded in the snapshot. With this option Load instead
@@ -74,8 +58,7 @@ func WithoutRecompileFallback() LoadOption {
 // see IsSnapshot) and returns a runnable Program.
 //
 //   - Source input is parsed and compiled, honoring WithCompileOptions and
-//     WithGoal; WithSnapshotCache adds a content-addressed snapshot cache
-//     so repeated loads of the same source skip compilation.
+//     WithGoal.
 //   - Snapshot input is decoded, validated and predecoded — no parsing,
 //     no compilation — and fails with typed errors:
 //     *SnapshotFormatError or *SnapshotChecksumError for corruption,
@@ -100,7 +83,7 @@ func Load(ctx context.Context, src []byte, opts ...LoadOption) (_ *Program, err 
 		}
 		return loadSnapshot(src, cfg)
 	}
-	return loadSource(string(src), cfg)
+	return compileText(string(src), cfg.opts, cfg.goal)
 }
 
 // IsSnapshot reports whether data begins with the snapshot magic, i.e.
@@ -149,31 +132,6 @@ func programFromImage(img *snapshot.Image) *Program {
 	return p
 }
 
-// loadSource compiles Prolog source, going through the snapshot cache when
-// one is configured.
-func loadSource(src string, cfg loadConfig) (*Program, error) {
-	var cachePath string
-	if cfg.cacheDir != "" {
-		cachePath = filepath.Join(cfg.cacheDir, cacheKey(src, cfg)+".sym")
-		if data, err := os.ReadFile(cachePath); err == nil {
-			if img, err := snapshot.Decode(data); err == nil {
-				return programFromImage(img), nil
-			}
-			// Corrupt or version-skewed cache entry: recompile below and
-			// overwrite it. The key includes the format version, so skew
-			// here means a truncated write, not a format upgrade.
-		}
-	}
-	p, err := compileText(src, cfg.opts, cfg.goal)
-	if err != nil {
-		return nil, err
-	}
-	if cachePath != "" {
-		writeCacheFile(cfg.cacheDir, cachePath, p.Snapshot())
-	}
-	return p, nil
-}
-
 // compileText is the source-input back half of Load: parse (plain or as a
 // knowledge base + goal) and compile.
 func compileText(src string, opts Options, goal string) (*Program, error) {
@@ -189,43 +147,6 @@ func compileText(src string, opts Options, goal string) (*Program, error) {
 		return nil, err
 	}
 	return compileClauses(clauses, opts, src, norm)
-}
-
-// cacheKey derives the content address of a compile: source, goal, options
-// and format version all feed the hash, so the cache never has to be
-// invalidated by hand.
-func cacheKey(src string, cfg loadConfig) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "symsnap\x00v%d\x00arith=%t\x00maxsteps=%d\x00goal=%s\x00",
-		snapshot.Version, cfg.opts.ArithChecks, cfg.opts.MaxSteps, cfg.goal)
-	io.WriteString(h, src)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// writeCacheFile writes data to path atomically (tmp + rename), creating
-// dir if needed. Best-effort: errors are swallowed, the cache is an
-// optimization.
-func writeCacheFile(dir, path string, data []byte) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, ".sym-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-	}
 }
 
 // Snapshot serializes the program as a versioned binary snapshot: the ICI

@@ -195,7 +195,7 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := eng.WriteMetrics(&buf); err != nil {
+	if _, err := eng.Metrics().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
@@ -285,16 +285,20 @@ func TestRunContextAPI(t *testing.T) {
 	}
 }
 
-// TestSimulateContextStats checks that Program.Simulate, the VLIW path,
-// carries the same Stats record: cycles populated, classes summing to
-// issued ops, and the mix table rendering through SimResult.String.
+// TestSimulateContextStats checks that Scheduled.SimulateWith, the VLIW
+// path, carries the same Stats record: cycles populated, classes summing
+// to issued ops, and the mix table rendering through SimResult.String.
 func TestSimulateContextStats(t *testing.T) {
 	prog := mustLoad(t, `
 		app([], Y, Y).
 		app([H|T], Y, [H|Z]) :- app(T, Y, Z).
 		main :- app([1,2,3], [4], R), write(R), nl.
 	`)
-	sim, err := prog.Simulate(context.Background(), RunOptions{TraceEvents: 32})
+	sched, err := prog.ScheduleWith(DefaultMachine(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sched.SimulateWith(context.Background(), RunOptions{TraceEvents: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,24 +323,19 @@ func TestSimulateContextStats(t *testing.T) {
 }
 
 // TestSimulateFaultKeepsEvents checks that a VLIW run that faults still
-// returns the events it traced up to the fault, on both simulation entry
-// points, as Program.Run does on the sequential side.
+// returns the events it traced up to the fault, as Program.Run does on the
+// sequential side.
 func TestSimulateFaultKeepsEvents(t *testing.T) {
 	prog := mustLoad(t, `
 		app([], Y, Y).
 		app([H|T], Y, [H|Z]) :- app(T, Y, Z).
 		main :- app([1,2,3,4,5,6,7,8], [9], R), write(R), nl.
 	`)
-	opts := RunOptions{MaxCycles: 30, TraceEvents: 5}
-	sim, err := prog.Simulate(context.Background(), opts)
-	if !errors.Is(err, ErrCycleLimit) || sim == nil || sim.Succeeded || len(sim.Events) == 0 {
-		t.Errorf("Program.Simulate: err=%v, record %+v, want ErrCycleLimit with the events so far", err, sim)
-	}
 	sched, err := prog.ScheduleWith(DefaultMachine(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err = sched.SimulateWith(opts)
+	sim, err := sched.SimulateWith(context.Background(), RunOptions{MaxCycles: 30, TraceEvents: 5})
 	if !errors.Is(err, ErrCycleLimit) || sim == nil || sim.Succeeded || len(sim.Events) == 0 {
 		t.Errorf("Scheduled.SimulateWith: err=%v, record %+v, want ErrCycleLimit with the events so far", err, sim)
 	}

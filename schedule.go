@@ -1,6 +1,7 @@
 package symbol
 
 import (
+	"context"
 	"fmt"
 
 	"symbol/internal/core"
@@ -137,19 +138,24 @@ type SimResult struct {
 	EventsDropped int64
 }
 
-// Simulate runs the compacted program on the cycle-level VLIW simulator.
+// Simulate runs the compacted program on the cycle-level VLIW simulator:
+// SimulateWith without a context or bounds.
 func (s *Scheduled) Simulate() (*SimResult, error) {
-	return s.SimulateWith(RunOptions{})
+	return s.SimulateWith(context.Background(), RunOptions{})
 }
 
-// SimulateWith runs the compacted program under explicit resource bounds,
-// with the same typed-fault and catch/3 semantics as Program.Run. A run
-// that faults returns its traced events beside the error.
-func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
+// SimulateWith runs the compacted program on the cycle-level VLIW
+// simulator under ctx and explicit resource bounds, with the same
+// typed-fault and catch/3 semantics as Program.Run, on a machine state
+// borrowed from the process-wide idle list. Cancelling ctx aborts the run
+// with ErrCanceled; a ctx deadline tightens opts.Deadline. A run that
+// faults returns its traced events beside the error.
+func (s *Scheduled) SimulateWith(ctx context.Context, opts RunOptions) (_ *SimResult, err error) {
 	defer guard(&err)
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
+	opts = deadlineOf(ctx, opts)
 	var trace *obs.Trace
 	if opts.TraceEvents > 0 {
 		trace = obs.NewTrace(opts.TraceEvents)
@@ -161,6 +167,7 @@ func (s *Scheduled) SimulateWith(opts RunOptions) (_ *SimResult, err error) {
 		MaxCycles: opts.MaxCycles,
 		Layout:    opts.layout(),
 		Deadline:  opts.Deadline,
+		Interrupt: interruptOf(ctx),
 		State:     st,
 		Events:    trace,
 	})

@@ -1,12 +1,9 @@
 package symbol_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -349,68 +346,6 @@ func TestSnapshotVersionFallback(t *testing.T) {
 	}
 	if res.Output != b.Expect {
 		t.Fatalf("fallback output %q, want %q", res.Output, b.Expect)
-	}
-}
-
-// TestSnapshotCache: the content-addressed cache produces a .sym file on
-// miss, serves hits, survives corruption, and misses when inputs change.
-func TestSnapshotCache(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	b, err := benchprog.Get("qsort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := func() *symbol.Program {
-		t.Helper()
-		p, err := symbol.Load(ctx, []byte(b.Source), symbol.WithSnapshotCache(dir))
-		if err != nil {
-			t.Fatalf("Load: %v", err)
-		}
-		return p
-	}
-	load()
-	files, err := filepath.Glob(filepath.Join(dir, "*.sym"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("cache files = %v, %v; want exactly one", files, err)
-	}
-	first, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Hit: same inputs, file untouched, program still correct.
-	p2 := load()
-	res, err := p2.Run(ctx, symbol.RunOptions{})
-	if err != nil || res.Output != b.Expect {
-		t.Fatalf("cached run = %q, %v; want %q", res.Output, err, b.Expect)
-	}
-	second, err := os.ReadFile(files[0])
-	if err != nil || !bytes.Equal(first, second) {
-		t.Fatal("cache hit rewrote the cache file")
-	}
-
-	// Corrupt cache entry: load falls back to compiling and repairs it.
-	if err := os.WriteFile(files[0], first[:len(first)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p3 := load()
-	if res, err := p3.Run(ctx, symbol.RunOptions{}); err != nil || res.Output != b.Expect {
-		t.Fatalf("run after corrupt cache = %v, %v", res, err)
-	}
-	repaired, err := os.ReadFile(files[0])
-	if err != nil || !bytes.Equal(repaired, first) {
-		t.Fatal("corrupt cache entry was not rewritten")
-	}
-
-	// Different options key differently.
-	if _, err := symbol.Load(ctx, []byte(b.Source), symbol.WithSnapshotCache(dir),
-		symbol.WithCompileOptions(symbol.Options{ArithChecks: false})); err != nil {
-		t.Fatalf("Load with options: %v", err)
-	}
-	files, _ = filepath.Glob(filepath.Join(dir, "*.sym"))
-	if len(files) != 2 {
-		t.Fatalf("after options change: %d cache files, want 2", len(files))
 	}
 }
 

@@ -11,16 +11,16 @@
 //
 // Each job has one entry point:
 //
-//	prog, err := symbol.Load(ctx, src)                  // Prolog source or snapshot
-//	res, err := prog.Run(ctx, symbol.RunOptions{})      // sequential answers
-//	fmt.Print(res.Stats)                                // paper-style op-class mix
-//	sched, err := prog.ScheduleWith(symbol.DefaultMachine(3))
-//	sim, err := prog.Simulate(ctx, symbol.RunOptions{}) // measured VLIW cycles
+//	prog, err := symbol.Load(ctx, src)                        // Prolog source or snapshot
+//	res, err := prog.Run(ctx, symbol.RunOptions{})            // sequential answers
+//	fmt.Print(res.Stats)                                      // paper-style op-class mix
+//	sched, err := prog.ScheduleWith(symbol.DefaultMachine(3)) // trace scheduling
+//	sim, err := sched.SimulateWith(ctx, symbol.RunOptions{})  // measured VLIW cycles
 //
 // Load accepts Prolog source or a binary snapshot (sniffed by magic
-// header), compiles queries against a knowledge base via WithGoal, and
-// skips compilation entirely through WithSnapshotCache. Programs
-// round-trip through prog.Snapshot() and symbol compile -o prog.sym.
+// header) and compiles queries against a knowledge base via WithGoal.
+// Programs round-trip through prog.Snapshot() and symbol compile -o
+// prog.sym.
 //
 // RunOptions bounds a run; its zero value means the defaults:
 //
@@ -30,15 +30,14 @@
 //	    TraceEvents: 256, // keep the last 256 events
 //	})
 //
-// Program.Run and Program.Simulate build a throwaway Engine per call. For
-// serving many queries, build an Engine once (recycled machine state,
-// engine-wide metrics, a schedule computed once) and stream every answer
-// of a query with Engine.Query:
+// Program.Run builds a throwaway Engine per call. For serving many
+// queries, build an Engine once (recycled machine state, engine-wide
+// metrics) and stream every answer of a query with Engine.Query:
 //
 //	eng := symbol.NewEngine(prog)
 //	res, err := eng.Run(ctx, symbol.RunOptions{})
 //	sols, err := eng.Query(ctx, symbol.RunOptions{})
-//	eng.WriteMetrics(os.Stdout) // Prometheus text format
+//	eng.Metrics().WriteTo(os.Stdout) // Prometheus text format
 package symbol
 
 import (
@@ -91,10 +90,6 @@ const (
 // MetricsSnapshot is a point-in-time copy of an Engine's aggregate metrics,
 // JSON-serializable and renderable as Prometheus text via WriteTo.
 type MetricsSnapshot = obs.Snapshot
-
-// Pressure is the cheap load signal returned by Engine.Pressure, for
-// admission-control decisions on every request.
-type Pressure = obs.Pressure
 
 // Typed fault sentinels, re-exported so callers can classify failures with
 // errors.Is without importing internal packages. Both the sequential
@@ -163,22 +158,6 @@ func (d Dispatch) String() string {
 		return "fused"
 	}
 	return fmt.Sprintf("Dispatch(%d)", uint8(d))
-}
-
-// ParseDispatch maps a -dispatch flag value onto the enum. The empty string
-// means DispatchAuto.
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "", "auto":
-		return DispatchAuto, nil
-	case "legacy":
-		return DispatchLegacy, nil
-	case "nofuse":
-		return DispatchNoFuse, nil
-	case "fused":
-		return DispatchFused, nil
-	}
-	return DispatchAuto, fmt.Errorf("symbol: unknown dispatch mode %q (want legacy, nofuse or fused)", s)
 }
 
 // RunOptions bound one execution (sequential or simulated): resource
@@ -367,14 +346,6 @@ func (p *Program) CodeSize() int { return len(p.icp.Code) }
 // catch/3. For serving many queries build an Engine once and reuse it.
 func (p *Program) Run(ctx context.Context, opts RunOptions) (*Result, error) {
 	return NewEngine(p).Run(ctx, opts)
-}
-
-// Simulate schedules the program for the paper's default 3-unit machine
-// and runs it on the cycle-level VLIW simulator under ctx and opts: it is
-// NewEngine(p).Simulate(ctx, opts). Each call schedules afresh; for
-// repeated simulation reuse one Engine, which schedules once.
-func (p *Program) Simulate(ctx context.Context, opts RunOptions) (*SimResult, error) {
-	return NewEngine(p).Simulate(ctx, opts)
 }
 
 // Result is the observable outcome of a program run.
