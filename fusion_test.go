@@ -42,16 +42,29 @@ func runMode(t *testing.T, prog *Program, base emu.Options, mode func(*emu.Optio
 
 // TestFusionDifferentialBenchmarks runs every benchmark in all three modes
 // and requires identical observable results: fusion must not shift a single
-// step out of original-ICI units.
+// step out of original-ICI units. Every program's fused stream must also be
+// allocated at exactly its final size, and shrink the code by one op per
+// superinstruction.
 func TestFusionDifferentialBenchmarks(t *testing.T) {
 	for _, b := range benchprog.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			prog := mustLoad(t, b.Source)
+			xp := exec.Of(prog.icp)
+			if ops := xp.Fused.Ops; cap(ops) != len(ops) {
+				t.Errorf("fused stream has len %d but cap %d", len(ops), cap(ops))
+			}
+			pairs := 0
+			for _, n := range xp.Stats.Pairs {
+				pairs += n
+			}
+			if xp.Stats.PlainOps-xp.Stats.FusedOps != pairs {
+				t.Errorf("PlainOps %d - FusedOps %d != %d pairs", xp.Stats.PlainOps, xp.Stats.FusedOps, pairs)
+			}
 			if b.Heavy && testing.Short() {
 				t.Skip("heavy benchmark (short mode)")
 			}
-			t.Parallel()
-			prog := mustLoad(t, b.Source)
 			ref, err := runMode(t, prog, emu.Options{}, emuModes[0].set)
 			if err != nil {
 				t.Fatalf("legacy run: %v", err)

@@ -330,8 +330,8 @@ func (xp *Program) Plain() *Stream {
 // Stats summarizes the fusion pass over the static code.
 type Stats struct {
 	PlainOps int           // ICIs in the program
-	FusedOps int           // ops in the fused stream (excluding the trap)
-	Pairs    map[XCode]int // static superinstruction counts by opcode
+	FusedOps int           // ops in the fused stream (excluding the traps)
+	Pairs    [NumCodes]int // static superinstruction counts by opcode
 }
 
 // Of returns the cached predecoded image of p, building it on first use.
@@ -560,13 +560,13 @@ func jumpTargets(p *ic.Program) []bool {
 	}
 	for pc := range p.Code {
 		in := &p.Code[pc]
-		switch in.Op {
-		case ic.BrTag, ic.BrCmp, ic.Jmp, ic.Jsr:
+		switch {
+		case branches(in.Op):
 			mark(in.Target)
 			if in.Op == ic.Jsr {
 				mark(pc + 1)
 			}
-		case ic.MovI:
+		case in.Op == ic.MovI:
 			if in.Word.Tag() == word.Code {
 				mark(int(in.Word.Val()))
 			}
@@ -574,6 +574,20 @@ func jumpTargets(p *ic.Program) []bool {
 	}
 	return t
 }
+
+// branches reports whether ICIs of opcode op carry a static Target: the
+// ones Decode1 turns into an opcode for which hasTarget holds.
+func branches(op ic.Op) bool {
+	switch op {
+	case ic.BrTag, ic.BrCmp, ic.Jmp, ic.Jsr:
+		return true
+	}
+	return false
+}
+
+// outside reports whether a predecoded branch target lies outside an n-ICI
+// program, where finish sends it to a trap op of its own.
+func outside(target int32, n int) bool { return target < 0 || int(target) >= n }
 
 // finish seals a stream: appends the trap ops, remaps branch targets from
 // original pcs to stream indices (out-of-range targets get a dedicated trap
@@ -587,8 +601,8 @@ func finish(s *Stream, p *ic.Program) {
 		if !hasTarget(s.Ops[i].Code) {
 			continue
 		}
-		t := int(s.Ops[i].Target)
-		if t < 0 || t >= n {
+		t := s.Ops[i].Target
+		if outside(t, n) {
 			s.Ops[i].Target = int32(len(s.Ops))
 			s.Ops = append(s.Ops, Op{Code: XBadPC, Width: 1, PC: s.Ops[i].PC, Imm: int64(t)})
 			continue
@@ -615,30 +629,50 @@ func finish(s *Stream, p *ic.Program) {
 // Predecode builds the execution image of p: the fused stream now, the
 // plain stream when Plain first asks for it. Callers normally use Of,
 // which caches the result on the program.
+//
+// It makes two passes so the fused stream is allocated once at its final
+// size: every loaded program keeps it resident. The first pass picks the
+// pairs, filling XOf, and counts the ops and the traps finish appends; the
+// second decodes.
 func Predecode(p *ic.Program) *Program {
 	n := len(p.Code)
-	xp := &Program{Stats: Stats{PlainOps: n, Pairs: map[XCode]int{}}, src: p}
+	xp := &Program{Stats: Stats{PlainOps: n}, src: p}
+	fused := &xp.Fused
 
 	targets := jumpTargets(p)
-	fused := &xp.Fused
-	fused.Ops = make([]Op, 0, n+1)
 	fused.XOf = make([]int32, n)
+	ops, traps := 0, 1 // the fall-off-the-end trap
 	for pc := 0; pc < n; {
+		fused.XOf[pc] = int32(ops)
+		ops++
 		if pc+1 < n && !targets[pc+1] {
 			if fop, ok := fusePair(&p.Code[pc], &p.Code[pc+1], pc); ok {
-				fused.XOf[pc] = int32(len(fused.Ops))
 				fused.XOf[pc+1] = -1
-				fused.Ops = append(fused.Ops, fop)
 				xp.Stats.Pairs[fop.Code]++
+				if hasTarget(fop.Code) && outside(fop.Target, n) {
+					traps++
+				}
 				pc += 2
 				continue
 			}
 		}
-		fused.XOf[pc] = int32(len(fused.Ops))
-		fused.Ops = append(fused.Ops, Decode1(&p.Code[pc], pc))
+		if in := &p.Code[pc]; branches(in.Op) && outside(int32(in.Target), n) {
+			traps++
+		}
 		pc++
 	}
-	xp.Stats.FusedOps = len(fused.Ops)
+	xp.Stats.FusedOps = ops
+
+	fused.Ops = make([]Op, 0, ops+traps)
+	for pc := 0; pc < n; pc++ {
+		if pc+1 < n && fused.XOf[pc+1] < 0 {
+			fop, _ := fusePair(&p.Code[pc], &p.Code[pc+1], pc)
+			fused.Ops = append(fused.Ops, fop)
+			pc++
+			continue
+		}
+		fused.Ops = append(fused.Ops, Decode1(&p.Code[pc], pc))
+	}
 	finish(fused, p)
 	return xp
 }

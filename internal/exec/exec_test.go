@@ -190,14 +190,31 @@ func TestFusionBlockedByIndirectTargets(t *testing.T) {
 
 // TestTrapTargets: a statically out-of-range branch target must resolve to
 // a trap op carrying the original invalid pc, and Lookup of out-of-range
-// pcs must land on the fall-off trap.
+// pcs must land on the fall-off trap. Predecode sizes the fused stream
+// for its traps up front: one per out-of-range target, single or fused,
+// and none for a compare-and-move whose skip target lies past the end.
 func TestTrapTargets(t *testing.T) {
 	p := mkProg([]ic.Inst{
 		{Op: ic.Nop},
 		{Op: ic.Jmp, Target: -1},
+		{Op: ic.Ld, D: t0, A: t1},
+		{Op: ic.BrTag, A: t0, Tag: word.Ref, Target: 99},
 		{Op: ic.Halt},
+		{Op: ic.BrCmp, A: t0, B: t1, Cond: ic.CondEq, Target: 7},
+		{Op: ic.Mov, D: t2, A: t0},
 	})
 	xp := Predecode(p)
+	if got := xp.Fused.Ops[xp.Fused.XOf[2]]; got.Code != XFLdBrTagEq || xp.Fused.Ops[got.Target].Imm != 99 {
+		t.Fatalf("ld+brtag fused to %s with target imm %d, want %s to a trap for pc 99",
+			got.Code, xp.Fused.Ops[got.Target].Imm, XFLdBrTagEq)
+	}
+	if got := xp.Fused.Ops[xp.Fused.XOf[5]].Code; got != XFCMovR {
+		t.Fatalf("brcmp+mov fused to %s, want %s", got, XFCMovR)
+	}
+	if len(xp.Fused.Ops) != 8 || cap(xp.Fused.Ops) != len(xp.Fused.Ops) {
+		t.Fatalf("fused stream len %d cap %d, want 5 ops and 3 traps exactly",
+			len(xp.Fused.Ops), cap(xp.Fused.Ops))
+	}
 	for _, s := range []*Stream{xp.Plain(), &xp.Fused} {
 		jmp := s.Ops[s.XOf[1]]
 		trap := s.Ops[jmp.Target]

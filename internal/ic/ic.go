@@ -237,19 +237,24 @@ const (
 )
 
 // Inst is one Intermediate Code Instruction.
+//
+// The seven one-byte fields come first so they share one word and the
+// record is 48 bytes. Snapshots encode field by field (AppendInst), so the
+// order is not part of the format.
 type Inst struct {
 	Op     Op
-	D      Reg    // destination register
-	A, B   Reg    // source registers
-	Imm    int64  // ALU/ordered-branch immediate, load/store offset, halt status
-	HasImm bool   // B-or-immediate selector for ALU and BrCmp
-	Word   word.W // MovI immediate; BrCmp Eq/Ne full-word immediate
+	HasImm bool // B-or-immediate selector for ALU and BrCmp
 	Tag    word.Tag
 	Cond   Cond
-	Target int // branch target pc (instruction index)
 	Sys    SysID
 	Reg    Region // memory-region annotation for Ld/St
 	Mark   Mark   // observability annotation (see Mark)
+
+	D      Reg    // destination register
+	A, B   Reg    // source registers
+	Imm    int64  // ALU/ordered-branch immediate, load/store offset, halt status
+	Word   word.W // MovI immediate; BrCmp Eq/Ne full-word immediate
+	Target int    // branch target pc (instruction index)
 }
 
 // Class returns the paper's instruction class for the ICI.

@@ -5,9 +5,22 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"symbol/internal/word"
 )
+
+// TestInstSize pins the ICI record at 48 bytes on 64-bit targets: every
+// loaded program keeps its code resident, so a field added or reordered
+// into padding grows every program's live heap by a third.
+func TestInstSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the 48-byte layout is for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Inst{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(Inst{}) = %d, want 48", got)
+	}
+}
 
 func TestCondInvertInvolution(t *testing.T) {
 	f := func(c uint8) bool {

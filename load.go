@@ -8,6 +8,7 @@ import (
 	"symbol/internal/emu"
 	"symbol/internal/parse"
 	"symbol/internal/snapshot"
+	"symbol/internal/term"
 )
 
 // LoadOption configures Load.
@@ -135,18 +136,25 @@ func programFromImage(img *snapshot.Image) *Program {
 // compileText is the source-input back half of Load: parse (plain or as a
 // knowledge base + goal) and compile.
 func compileText(src string, opts Options, goal string) (*Program, error) {
-	if goal == "" {
-		clauses, err := parse.All(src)
-		if err != nil {
-			return nil, fmt.Errorf("symbol: %w", err)
-		}
-		return compileClauses(clauses, opts, src, "")
-	}
-	clauses, norm, err := queryClauses(src, goal)
+	clauses, norm, err := sourceClauses(src, goal)
 	if err != nil {
 		return nil, err
 	}
 	return compileClauses(clauses, opts, src, norm)
+}
+
+// sourceClauses parses src as a whole program, or with goal as a knowledge
+// base posed that query (see queryClauses), returning the clauses and the
+// normalized goal.
+func sourceClauses(src, goal string) ([]term.Term, string, error) {
+	if goal == "" {
+		clauses, err := parse.All(src)
+		if err != nil {
+			return nil, "", fmt.Errorf("symbol: %w", err)
+		}
+		return clauses, "", nil
+	}
+	return queryClauses(src, goal)
 }
 
 // Snapshot serializes the program as a versioned binary snapshot: the ICI

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"symbol"
@@ -30,8 +31,8 @@ func snapshotCorpus(t *testing.T) []*benchprog.Benchmark {
 
 // TestSnapshotRoundTripCorpus compiles every benchmark, snapshots it,
 // loads the snapshot back, and checks the loaded program is observably
-// identical: same ICI listing, code size, undefined set, source, and the
-// same run output.
+// identical: same ICI listing, BAM listing (regenerated from the embedded
+// source), code size, undefined set, source, and the same run output.
 func TestSnapshotRoundTripCorpus(t *testing.T) {
 	ctx := context.Background()
 	for _, b := range snapshotCorpus(t) {
@@ -51,6 +52,9 @@ func TestSnapshotRoundTripCorpus(t *testing.T) {
 			}
 			if got, want := loaded.ICListing(), orig.ICListing(); got != want {
 				t.Fatal("ICListing differs after round trip")
+			}
+			if got, want := loaded.BAMListing(), orig.BAMListing(); got != want || want == "" {
+				t.Fatalf("BAMListing after round trip has %d bytes, want the source's %d", len(got), len(want))
 			}
 			if loaded.CodeSize() != orig.CodeSize() {
 				t.Fatalf("CodeSize = %d, want %d", loaded.CodeSize(), orig.CodeSize())
@@ -122,7 +126,8 @@ func TestSnapshotDifferential(t *testing.T) {
 }
 
 // TestSnapshotQueryRoundTrip checks the query (WithGoal) path: kind, goal
-// and knowledge base survive the round trip and keep answering.
+// and knowledge base survive the round trip, list the same BAM and keep
+// answering.
 func TestSnapshotQueryRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	const kb = "parent(tom, bob).\nparent(bob, ann).\ngrand(X, Z) :- parent(X, Y), parent(Y, Z).\n"
@@ -139,6 +144,9 @@ func TestSnapshotQueryRoundTrip(t *testing.T) {
 	}
 	if loaded.Source() != kb {
 		t.Fatalf("source = %q", loaded.Source())
+	}
+	if got, want := loaded.BAMListing(), orig.BAMListing(); got != want || !strings.Contains(want, "procedure grand/2") {
+		t.Fatalf("BAMListing after round trip:\n%s\nwant:\n%s", got, want)
 	}
 	want, err := orig.Run(ctx, symbol.RunOptions{})
 	if err != nil {

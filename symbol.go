@@ -242,14 +242,6 @@ func (o RunOptions) layout() ic.Layout {
 	}
 }
 
-func expandUnit(unit *bam.Unit, c *compile.Compiler) (*ic.Program, error) {
-	prog, err := expand.Translate(unit, c.Atoms())
-	if err != nil {
-		return nil, err
-	}
-	return rename.Fold(prog), nil
-}
-
 // Options configure compilation.
 type Options struct {
 	// ArithChecks controls runtime tag checking on arithmetic (default on).
@@ -269,7 +261,6 @@ func DefaultOptions() Options {
 // sync.Once.
 type Program struct {
 	opts      Options
-	bam       *bam.Unit // nil for snapshot-loaded programs
 	icp       *ic.Program
 	undefined []string
 	src       string // source text (embedded in snapshots; "" if unavailable)
@@ -281,21 +272,31 @@ type Program struct {
 	profBuilt atomic.Bool // profile computed successfully (for snapshot embedding)
 }
 
+// compileBAM is the front end: parsed clauses → BAM.
+func compileBAM(clauses []term.Term, opts Options) (*bam.Unit, *compile.Compiler, error) {
+	c := compile.New(compile.Options{ArithChecks: opts.ArithChecks})
+	if err := c.AddProgram(clauses); err != nil {
+		return nil, nil, fmt.Errorf("symbol: %w", err)
+	}
+	unit, err := c.Compile()
+	if err != nil {
+		return nil, nil, fmt.Errorf("symbol: %w", err)
+	}
+	return unit, c, nil
+}
+
 // compileClauses is the shared back half of compilation: parsed clauses →
 // BAM → ICI → Program. Every source compile (Load, with or without
 // WithGoal, and the snapshot version-skew fallback) ends here. src and goal
 // are recorded on the Program so snapshots can embed them for the recompile
-// fallback.
+// fallback and BAMListing can regenerate the BAM; the BAM unit itself is
+// dropped once expanded.
 func compileClauses(clauses []term.Term, opts Options, src, goal string) (*Program, error) {
-	c := compile.New(compile.Options{ArithChecks: opts.ArithChecks})
-	if err := c.AddProgram(clauses); err != nil {
-		return nil, fmt.Errorf("symbol: %w", err)
-	}
-	unit, err := c.Compile()
+	unit, c, err := compileBAM(clauses, opts)
 	if err != nil {
-		return nil, fmt.Errorf("symbol: %w", err)
+		return nil, err
 	}
-	prog, err := expandUnit(unit, c)
+	prog, err := expand.Translate(unit, c.Atoms())
 	if err != nil {
 		return nil, fmt.Errorf("symbol: %w", err)
 	}
@@ -303,7 +304,7 @@ func compileClauses(clauses []term.Term, opts Options, src, goal string) (*Progr
 	for _, pi := range c.Undefined() {
 		undef = append(undef, pi.String())
 	}
-	return &Program{opts: opts, bam: unit, icp: prog, undefined: undef, src: src, goal: goal}, nil
+	return &Program{opts: opts, icp: rename.Fold(prog), undefined: undef, src: src, goal: goal}, nil
 }
 
 // Undefined lists predicates that are called but never defined (calls to
@@ -319,14 +320,25 @@ func (p *Program) Source() string { return p.src }
 // "" for whole-program compiles.
 func (p *Program) Goal() string { return p.goal }
 
-// BAMListing returns the BAM assembly produced by the front end, or "" for
-// snapshot-loaded programs (the BAM stage is not preserved in snapshots —
-// only its ICI expansion is).
+// BAMListing returns the BAM assembly produced by the front end. A loaded
+// program does not keep its BAM: the listing is compiled afresh from the
+// retained source (Source, posed Goal for query programs) under the
+// program's compile options, so snapshot-loaded programs list it too. It
+// returns "" when no source is available, or when the source does not
+// compile (a snapshot's embedded source is not checked against its code).
 func (p *Program) BAMListing() string {
-	if p.bam == nil {
+	if p.src == "" {
 		return ""
 	}
-	return p.bam.Listing()
+	clauses, _, err := sourceClauses(p.src, p.goal)
+	if err != nil {
+		return ""
+	}
+	unit, _, err := compileBAM(clauses, p.opts)
+	if err != nil {
+		return ""
+	}
+	return unit.Listing()
 }
 
 // ICListing returns the Intermediate Code disassembly.
