@@ -210,32 +210,6 @@ func (g *Graph) BranchProbability(prof *emu.Profile, b *Block) (float64, bool) {
 	return prof.Probability(last)
 }
 
-// Stats summarizes CFG shape (used by the code analyses).
-type Stats struct {
-	Blocks        int
-	AvgStaticLen  float64 // unweighted mean block length
-	AvgDynamicLen float64 // execution-weighted mean block length
-}
-
-// ComputeStats returns block-size statistics; the dynamic mean corresponds
-// to the paper's "basic blocks of 6-7 instructions" observation.
-func (g *Graph) ComputeStats() Stats {
-	s := Stats{Blocks: len(g.Blocks)}
-	var sum, wsum, w float64
-	for _, b := range g.Blocks {
-		sum += float64(b.Len())
-		wsum += float64(b.Weight) * float64(b.Len())
-		w += float64(b.Weight)
-	}
-	if len(g.Blocks) > 0 {
-		s.AvgStaticLen = sum / float64(len(g.Blocks))
-	}
-	if w > 0 {
-		s.AvgDynamicLen = wsum / w
-	}
-	return s
-}
-
 // Validate checks structural invariants; used by tests.
 func (g *Graph) Validate() error {
 	for _, b := range g.Blocks {

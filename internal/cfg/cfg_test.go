@@ -165,23 +165,6 @@ func TestLoopLiveness(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	g, err := Build(diamond(), &emu.Profile{
-		Expect: []int64{10, 7, 7, 3, 10},
-		Taken:  make([]int64, 5),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := g.ComputeStats()
-	if s.Blocks != 4 {
-		t.Errorf("blocks = %d", s.Blocks)
-	}
-	if s.AvgStaticLen <= 0 || s.AvgDynamicLen <= 0 {
-		t.Error("stats must be positive")
-	}
-}
-
 func TestInvalidTarget(t *testing.T) {
 	p := mkProg([]ic.Inst{{Op: ic.Jmp, Target: 99}})
 	if _, err := Build(p, nil); err == nil {

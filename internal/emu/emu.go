@@ -8,15 +8,12 @@ package emu
 
 import (
 	"fmt"
-	"io"
 	"runtime"
-	"strings"
 	"time"
 
 	"symbol/internal/exec"
 	"symbol/internal/fault"
 	"symbol/internal/ic"
-	"symbol/internal/mterm"
 	"symbol/internal/obs"
 	"symbol/internal/word"
 )
@@ -101,11 +98,6 @@ type Options struct {
 	// private state: Run frees it before it returns, while a Machine from
 	// New keeps it until the Machine is collected.
 	State *ic.State
-	// Trace, if non-nil, receives one line per executed instruction with
-	// machine-state context (debugging aid; very verbose). Tracing implies
-	// the legacy reference interpreter: superinstruction fusion is disabled
-	// so every ICI produces exactly one trace line.
-	Trace io.Writer
 	// NoFuse runs on the plain predecoded stream, one internal op per ICI,
 	// with superinstruction fusion disabled. Observable behaviour is
 	// identical either way (that is differentially tested); the flag exists
@@ -113,11 +105,11 @@ type Options struct {
 	NoFuse bool
 	// Legacy forces the original non-predecoded reference interpreter, the
 	// semantic baseline the predecoded loop is verified against (implied by
-	// Trace, Events and Profile). Kept for differential tests and baseline
+	// Events and Profile). Kept for differential tests and baseline
 	// benchmarks.
 	Legacy bool
 	// Events, if non-nil, receives executor milestone events (call/fail
-	// ports, choice-point push/pop, catch/throw, faults, halt). Like Trace
+	// ports, choice-point push/pop, catch/throw, faults, halt). Like Profile
 	// it implies the legacy reference interpreter, so the predecoded loop
 	// carries no event hooks and pays nothing when tracing is off. On an
 	// error return the trace still holds the events up to the fault.
@@ -126,29 +118,20 @@ type Options struct {
 
 // Machine is the sequential IC interpreter.
 type Machine struct {
+	// rt holds the memory image, output, region limits, fault state and
+	// poll targets, and the runtime rules the VLIW simulator runs too. It
+	// is held by value, so the run loops reach its fields at fixed offsets,
+	// and as a named field, so its methods stay off Machine's method set.
+	rt   exec.Runtime
 	prog *ic.Program
 	opts Options
-	st   *ic.State
-	mem  []word.W
 	regs []word.W
 	pc   int
-	out  strings.Builder
 	prof *Profile
-	// limit bounds each annotated region: a store at addr with region
-	// annotation r faults iff addr >= limit[r], i.e. the region's bump
-	// pointer ran past its (possibly shrunken) end. Sound because every
-	// region-annotated store is reached through that region's own pointer:
-	// variable cells are always heap-allocated (compile.getVal), so bind
-	// and trail-unwind targets never alias another region.
-	limit [ic.RegionBall + 1]uint64
-	// pendingFault remembers the kind of a resource fault that was
-	// converted into a catchable ball, so an uncaught unwind reports the
-	// original fault rather than a generic uncaught exception.
-	pendingFault fault.Kind
 
 	// Observability state. ctr is written by the run loops (the fast loop
-	// only touches disp and the skip fixups; the legacy loop fills cls and
-	// the mark counters instead); start stamps segment entry for wall time.
+	// only touches the dispatch mix; the legacy loop fills cls and the mark
+	// counters instead); start stamps segment entry for wall time.
 	ctr     counters
 	start   time.Time
 	events  *obs.Trace
@@ -178,25 +161,14 @@ const (
 	phaseDone                   // terminal: exhausted, errored, or no $fail routine
 )
 
-// counters is the cheap per-run instrumentation the loops write. disp is
-// sized 256 (not exec.NumCodes) and indexed by the uint8 opcode so the
-// increment compiles without a bounds check.
+// counters is the cheap per-run instrumentation the loops write.
 type counters struct {
-	disp [256]int64 // per-XCode dispatch counts (predecoded loop)
-	// Fused second constituents skipped because the first store faulted
-	// catchably: the dispatch count over-counts the second half by these.
-	skipStAdd, skipStSt, skipStMovI int64
-	cmovMoves                       int64 // XFCMovR second constituents actually executed
+	mix exec.Mix // per-XCode dispatch counts and fusion fixups (predecoded loop)
 	// Legacy-loop equivalents: per-class counts and mark counts, gathered
 	// per step since the legacy loop has no dense opcodes.
-	cls                        [int(ic.NumClasses)]int64
-	cpPush, cpPop, trailUndo   int64
-	faultsRaised, faultsCaught int64
+	cls               [int(ic.NumClasses)]int64
+	cpPush, trailUndo int64
 }
-
-// overflowKind is the fault of a store past region r; the name keeps
-// runFast's store cases as they are.
-func overflowKind(r ic.Region) fault.Kind { return r.Overflow() }
 
 // New prepares a machine for prog. When opts.State is set the machine runs
 // in that (zeroed) state; otherwise it allocates a private one.
@@ -211,13 +183,13 @@ func New(prog *ic.Program, opts Options) *Machine {
 	m := &Machine{
 		prog:    prog,
 		opts:    opts,
-		st:      st,
-		mem:     st.Mem(),
 		regs:    st.Regs(int(prog.MaxReg()) + 1),
 		pc:      prog.Entry,
 		events:  opts.Events,
 		catchPC: -1,
 	}
+	m.rt.Init(prog, st, opts.Layout, prog.ThrowPC > 0)
+	m.rt.Deadline, m.rt.Interrupt = opts.Deadline, opts.Interrupt
 	if pc, ok := prog.Procs["$catchh"]; ok {
 		m.catchPC = pc
 	}
@@ -226,13 +198,6 @@ func New(prog *ic.Program, opts Options) *Machine {
 		for _, pc := range prog.Procs {
 			m.procPC[pc] = true
 		}
-	}
-	// Unannotated stores never region-fault: give RegionUnknown an
-	// unreachable limit so the predecoded store handler needs no separate
-	// "is this store annotated" test.
-	m.limit[ic.RegionUnknown] = ^uint64(0)
-	for r := ic.RegionHeap; r <= ic.RegionBall; r++ {
-		m.limit[r] = opts.Layout.Limit(r)
 	}
 	if opts.Profile {
 		m.prof = &Profile{
@@ -247,7 +212,7 @@ func New(prog *ic.Program, opts Options) *Machine {
 func Run(prog *ic.Program, opts Options) (*Result, error) {
 	m := New(prog, opts)
 	if opts.State == nil {
-		defer m.st.Free()
+		defer m.rt.St.Free()
 	}
 	return m.Run()
 }
@@ -271,15 +236,10 @@ func (m *Machine) faultErr(k fault.Kind) error {
 // into a ball and delivered to the $throwunwind routine (redirect true);
 // everything else surfaces as a typed hard error.
 func (m *Machine) raise(k fault.Kind) (redirect bool, err error) {
-	m.ctr.faultsRaised++
 	if m.events != nil {
 		m.events.Add(obs.Event{Step: m.evStep, PC: int32(m.pc), Kind: obs.EvFault, Arg: int64(k)})
 	}
-	if fault.Catchable(k) && m.prog.ThrowPC > 0 &&
-		mterm.BallFault(m.mem, m.prog.Atoms, fault.BallName(k)) {
-		m.st.TouchRange(ic.BallBase, ic.BallBase+ic.BallSize)
-		m.pendingFault = k
-		m.ctr.faultsCaught++
+	if m.rt.Raise(k) {
 		return true, nil
 	}
 	return false, m.faultErr(k)
@@ -288,15 +248,9 @@ func (m *Machine) raise(k fault.Kind) (redirect bool, err error) {
 // uncaught reports a ball that unwound past the whole choice-point stack
 // (the $throwunwind Halt 2 path).
 func (m *Machine) uncaught() error {
-	if m.pendingFault != fault.None {
-		return m.faultErr(m.pendingFault)
-	}
-	reason := fault.UncaughtThrow.String()
-	if s, err := mterm.FormatOps(m.memView(), m.prog.Atoms, m.mem[ic.BallBase+1]); err == nil {
-		reason += ": " + s
-	}
+	k, reason := m.rt.Uncaught()
 	e := m.fail(reason)
-	e.Err = fault.ErrUncaughtThrow
+	e.Err = fault.Of(k)
 	return e
 }
 
@@ -325,7 +279,7 @@ func (m *Machine) Resume() (*Result, error) {
 	if m.phase != phaseSuspended {
 		return nil, fmt.Errorf("emu: Resume on a machine that is not suspended")
 	}
-	m.out.Reset()
+	m.rt.Out.Reset()
 	return m.segment(true)
 }
 
@@ -335,22 +289,17 @@ func (m *Machine) More() bool { return m.phase == phaseSuspended }
 
 // SetDeadline replaces the abort deadline for subsequent segments (zero
 // clears it). Only legal between segments, never while Run/Resume executes.
-func (m *Machine) SetDeadline(t time.Time) { m.opts.Deadline = t }
+func (m *Machine) SetDeadline(t time.Time) { m.rt.Deadline = t }
 
 // SetInterrupt replaces the cancellation channel for subsequent segments
 // (nil clears it). Only legal between segments.
-func (m *Machine) SetInterrupt(ch <-chan struct{}) { m.opts.Interrupt = ch }
+func (m *Machine) SetInterrupt(ch <-chan struct{}) { m.rt.Interrupt = ch }
 
 // Stats snapshots the cumulative observability record covering every
 // segment so far. Only legal between segments; it lets an embedder that
 // abandons a suspended machine settle its accounting without running to
 // exhaustion.
-func (m *Machine) Stats() obs.Stats {
-	if m.legacyMode {
-		return m.statsLegacy(m.stepsDone)
-	}
-	return m.statsFast(m.stepsDone)
-}
+func (m *Machine) Stats() obs.Stats { return m.stats(m.stepsDone) }
 
 // Elapsed is the cumulative active execution time across segments,
 // excluding time spent suspended.
@@ -370,7 +319,7 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		res *Result
 		err error
 	)
-	if m.opts.Trace != nil || m.opts.Legacy || m.events != nil || m.prof != nil {
+	if m.opts.Legacy || m.events != nil || m.prof != nil {
 		m.legacyMode = true
 		if resume {
 			// The predecoded loop polls on entry every segment; mirror that
@@ -394,9 +343,9 @@ func (m *Machine) segment(resume bool) (*Result, error) {
 		}
 		res, err = m.runFast(s, x)
 	}
-	// The loops work on m.mem, a slice of the state's image: keep the
+	// The loops work on m.rt.Mem, a slice of the state's image: keep the
 	// state (and so its mapping) alive until they are done with it.
-	runtime.KeepAlive(m.st)
+	runtime.KeepAlive(m.rt.St)
 	m.wallAcc += time.Since(m.start)
 	m.running = false
 	if err == nil && res.Status == 0 && m.prog.FailPC > 0 {
@@ -415,65 +364,21 @@ func (m *Machine) wallNow() time.Duration {
 	return m.wallAcc
 }
 
-// stats assembles the per-run record shared by every loop: the caller
-// supplies the class counts and choice-point/trail totals its own
-// instrumentation produced, the machine adds fault counters, wall time and
-// the page-granular memory high-water marks.
-func (m *Machine) stats(steps int64, cls *[int(ic.NumClasses)]int64, cp, undo int64) obs.Stats {
-	s := obs.Stats{
-		Steps:        steps,
-		MemOps:       cls[ic.ClassMemory],
-		ALUOps:       cls[ic.ClassALU],
-		MoveOps:      cls[ic.ClassMove],
-		ControlOps:   cls[ic.ClassControl],
-		SysOps:       cls[ic.ClassSys],
-		ChoicePoints: cp,
-		TrailUndos:   undo,
-		FaultsRaised: m.ctr.faultsRaised,
-		FaultsCaught: m.ctr.faultsCaught,
-		Wall:         m.wallNow(),
+// stats is the per-run record after steps steps, expanded from whichever
+// counters the loop that ran keeps.
+func (m *Machine) stats(steps int64) obs.Stats {
+	if m.legacyMode {
+		return m.rt.ClassStats(steps, &m.ctr.cls, m.ctr.cpPush, m.ctr.trailUndo, m.wallNow())
 	}
-	m.st.HighWater(&s)
-	return s
-}
-
-// statsFast expands the predecoded loop's per-opcode dispatch counters into
-// the exact per-class dynamic mix in original-ICI units. Every dispatch
-// counted both constituents of a superinstruction; the skip counters undo
-// the (rare) second constituents that did not execute because the first
-// store faulted catchably, and XFCMovR's conditional second constituent is
-// replaced by the count of moves that actually ran. The marked opcodes make
-// the dispatch array itself the choice-point and trail-undo counters.
-func (m *Machine) statsFast(steps int64) obs.Stats {
-	d := &m.ctr.disp
-	// One spare slot catches the Class2Of "no second constituent" sentinel.
-	var cls [int(ic.NumClasses) + 1]int64
-	for c := 0; c < int(exec.NumCodes); c++ {
-		n := d[c]
-		if n == 0 {
-			continue
-		}
-		cls[exec.ClassOf[c]] += n
-		cls[exec.Class2Of[c]] += n
-	}
-	cls[ic.ClassALU] -= m.ctr.skipStAdd
-	cls[ic.ClassMemory] -= m.ctr.skipStSt
-	cls[ic.ClassMove] -= m.ctr.skipStMovI
-	cls[ic.ClassMove] -= d[exec.XFCMovR] - m.ctr.cmovMoves
-	head := [int(ic.NumClasses)]int64(cls[:int(ic.NumClasses)])
-	return m.stats(steps, &head, d[exec.XMovCP], d[exec.XLdUndo])
-}
-
-// statsLegacy packages the legacy loop's per-step counts.
-func (m *Machine) statsLegacy(steps int64) obs.Stats {
-	return m.stats(steps, &m.ctr.cls, m.ctr.cpPush, m.ctr.trailUndo)
+	return m.rt.MixStats(steps, &m.ctr.mix, m.wallNow())
 }
 
 // runLegacy is the original one-ICI-at-a-time interpreter. It is the
 // semantic reference for the predecoded loop in run.go and the only loop
-// that supports Profile, Trace and Events.
+// that supports Profile and Events.
 func (m *Machine) runLegacy() (*Result, error) {
 	code := m.prog.Code
+	mem := m.rt.Mem
 	steps := m.stepsDone
 	for {
 		if m.pc < 0 || m.pc >= len(code) {
@@ -493,8 +398,6 @@ func (m *Machine) runLegacy() (*Result, error) {
 		switch in.Mark {
 		case ic.MarkCPPush:
 			m.ctr.cpPush++
-		case ic.MarkCPPop:
-			m.ctr.cpPop++
 		case ic.MarkTrailUndo:
 			m.ctr.trailUndo++
 		}
@@ -504,34 +407,18 @@ func (m *Machine) runLegacy() (*Result, error) {
 		if m.prof != nil {
 			m.prof.Expect[m.pc]++
 		}
-		if m.opts.Trace != nil {
-			if lbl, ok := m.prog.Names[m.pc]; ok {
-				fmt.Fprintf(m.opts.Trace, "%s:\n", lbl)
-			}
-			ops := ""
-			if in.A >= 0 && int(in.A) < len(m.regs) {
-				ops += fmt.Sprintf(" A=%s", m.regs[in.A])
-			}
-			if in.B >= 0 && int(in.B) < len(m.regs) && !in.HasImm {
-				ops += fmt.Sprintf(" B=%s", m.regs[in.B])
-			}
-			fmt.Fprintf(m.opts.Trace, "%7d %4d  %-40s b=%x tr=%x h=%x e=%x%s\n",
-				steps, m.pc, in.String(),
-				m.regs[ic.RegB].Val(), m.regs[ic.RegTR].Val(),
-				m.regs[ic.RegH].Val(), m.regs[ic.RegE].Val(), ops)
-		}
 		next := m.pc + 1
 		switch in.Op {
 		case ic.Nop:
 		case ic.Ld:
 			addr := m.regs[in.A].Val() + uint64(in.Imm)
-			if addr >= uint64(len(m.mem)) {
+			if addr >= uint64(len(mem)) {
 				return nil, m.loadErr(addr)
 			}
-			m.regs[in.D] = m.mem[addr]
+			m.regs[in.D] = mem[addr]
 		case ic.St:
 			addr := m.regs[in.A].Val() + uint64(in.Imm)
-			if r := in.Reg; r != ic.RegionUnknown && addr >= m.limit[r] {
+			if r := in.Reg; r != ic.RegionUnknown && addr >= m.rt.Limit[r] {
 				jump, err := m.raise(r.Overflow())
 				if err != nil {
 					return nil, err
@@ -541,11 +428,11 @@ func (m *Machine) runLegacy() (*Result, error) {
 					break
 				}
 			}
-			if addr >= uint64(len(m.mem)) {
+			if addr >= uint64(len(mem)) {
 				return nil, m.storeErr(addr)
 			}
-			m.mem[addr] = m.regs[in.B]
-			m.st.Touch(addr)
+			mem[addr] = m.regs[in.B]
+			m.rt.St.Touch(addr)
 		case ic.Add, ic.Sub, ic.Mul, ic.Div, ic.Mod, ic.And, ic.Or, ic.Xor, ic.Shl, ic.Shr:
 			b := in.Imm
 			if !in.HasImm {
@@ -590,10 +477,10 @@ func (m *Machine) runLegacy() (*Result, error) {
 			m.stepsDone = steps
 			res := &Result{
 				Status:  int(in.Imm),
-				Output:  m.out.String(),
+				Output:  m.rt.Out.String(),
 				Steps:   steps,
 				Profile: m.prof,
-				Stats:   m.statsLegacy(steps),
+				Stats:   m.stats(steps),
 			}
 			return res, nil
 		case ic.SysOp:
@@ -658,53 +545,34 @@ func (m *Machine) emitEvents(steps int64, in *ic.Inst, next int) {
 	}
 }
 
-// The sys builtins are shared between the legacy and predecoded loops as
-// one small method per SysID (the predecoded stream has a distinct opcode
-// for each, so the dispatch below is only used by the legacy loop).
-
-// memView is the machine's memory as an mterm.Mem. A pointer converts to an
-// interface without allocating; the slice value would be boxed per call.
-func (m *Machine) memView() mterm.Mem { return (*mterm.SliceMem)(&m.mem) }
-
-func (m *Machine) sysWrite(a ic.Reg) error {
-	s, err := mterm.FormatOps(m.memView(), m.prog.Atoms, m.regs[a])
-	if err != nil {
-		return err
-	}
-	m.out.WriteString(s)
-	return nil
-}
+// The sys builtins run in the shared runtime; the wrappers below are the
+// emulator's side of them, used by both loops (the predecoded stream has a
+// distinct opcode for each, so the dispatch in sys is the legacy loop's).
 
 func (m *Machine) sysCompare(a, b ic.Reg) error {
-	c, err := mterm.Compare(m.memView(), m.prog.Atoms, m.regs[a], m.regs[b])
+	v, err := m.rt.Compare(m.regs[a], m.regs[b])
 	if err != nil {
 		return err
 	}
-	m.regs[ic.RegRV] = word.MakeInt(int64(c))
+	m.regs[ic.RegRV] = v
 	return nil
 }
 
 func (m *Machine) sysBallPut(a ic.Reg) error {
-	// Touch before the error check: a failed copy may still have
-	// written part of the ball area, and Reset must see it.
-	err := mterm.BallPut(m.mem, m.regs[a])
-	m.st.TouchRange(ic.BallBase, ic.BallBase+ic.BallSize)
-	if err != nil {
+	if err := m.rt.BallPut(m.regs[a]); err != nil {
 		return m.fail(err.Error())
 	}
-	// A user throw supersedes any converted resource fault in flight.
-	m.pendingFault = fault.None
 	return nil
 }
 
 func (m *Machine) sys(in *ic.Inst) error {
 	switch in.Sys {
 	case ic.SysWrite:
-		return m.sysWrite(in.A)
+		return m.rt.Write(m.regs[in.A])
 	case ic.SysNl:
-		m.out.WriteByte('\n')
+		m.rt.Nl()
 	case ic.SysWriteCode:
-		m.out.WriteByte(byte(m.regs[in.A].Int()))
+		m.rt.WriteCode(m.regs[in.A])
 	case ic.SysCompare:
 		return m.sysCompare(in.A, in.B)
 	case ic.SysBallPut:

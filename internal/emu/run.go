@@ -2,7 +2,6 @@ package emu
 
 import (
 	"fmt"
-	"time"
 
 	"symbol/internal/exec"
 	"symbol/internal/fault"
@@ -17,8 +16,8 @@ import (
 //     trap op);
 //   - no HasImm/Cond/Sys/Region selector tests (each form is its own
 //     opcode, and RegionUnknown stores carry an unreachable limit);
-//   - no per-step Profile/Trace/Events tests (all three select the legacy
-//     reference interpreter, which carries every kind of instrumentation);
+//   - no per-step Profile/Events tests (both select the legacy reference
+//     interpreter, which carries every kind of instrumentation);
 //   - no per-step deadline/interrupt poll: one poll on entry (so a
 //     pre-expired deadline or pre-cancelled run still aborts at step 0,
 //     which the differential fault tests rely on), then a countdown
@@ -51,28 +50,11 @@ func (m *Machine) storeErr(addr uint64) error {
 // pollCheck is the deadline/cancellation poll, hoisted out of the per-step
 // path; pc is the original pc reported if the run must abort.
 func (m *Machine) pollCheck(pc int) error {
-	if !m.opts.Deadline.IsZero() && time.Now().After(m.opts.Deadline) {
+	if k := m.rt.Poll(); k != fault.None {
 		m.pc = pc
-		return m.faultErr(fault.Deadline)
-	}
-	if m.opts.Interrupt != nil {
-		select {
-		case <-m.opts.Interrupt:
-			m.pc = pc
-			return m.faultErr(fault.Canceled)
-		default:
-		}
+		return m.faultErr(k)
 	}
 	return nil
-}
-
-// pollEvery returns the back-edge countdown start: CheckInterval when the
-// run has something to poll for, effectively-never otherwise.
-func (m *Machine) pollEvery() int64 {
-	if m.opts.Deadline.IsZero() && m.opts.Interrupt == nil {
-		return 1 << 62
-	}
-	return fault.CheckInterval
 }
 
 // runFast is the unprofiled predecoded interpreter loop. x0 is the stream
@@ -83,15 +65,15 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 		return nil, err
 	}
 	ops := s.Ops
-	mem := m.mem
+	mem := m.rt.Mem
 	regs := m.regs
 	max := m.opts.MaxSteps
-	poll := m.pollEvery()
+	poll := m.rt.PollEvery()
 	// disp is the whole per-run instrumentation cost when tracing is off:
 	// one bounds-check-free increment per dispatch (the array is 256 wide
 	// and the opcode is a uint8). Classes, choice points and trail undos
-	// are all expanded from it after the run (see statsFast).
-	disp := &m.ctr.disp
+	// are all expanded from it after the run (see exec.Runtime.MixStats).
+	disp := &m.ctr.mix.Disp
 	steps := m.stepsDone
 	x := x0
 	for {
@@ -114,9 +96,9 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			regs[op.D] = mem[addr]
 		case exec.XSt:
 			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
+			if addr >= m.rt.Limit[op.Region] {
 				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
+				jump, err := m.raise(op.Region.Overflow())
 				if err != nil {
 					return nil, err
 				}
@@ -130,7 +112,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.storeErr(addr)
 			}
 			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
+			m.rt.St.Touch(addr)
 
 		case exec.XAddR:
 			a := regs[op.A]
@@ -273,18 +255,18 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.uncaught()
 			}
 			m.stepsDone = steps
-			return &Result{Status: int(op.Imm), Output: m.out.String(), Steps: steps,
-				Stats: m.statsFast(steps)}, nil
+			return &Result{Status: int(op.Imm), Output: m.rt.Out.String(), Steps: steps,
+				Stats: m.stats(steps)}, nil
 
 		case exec.XSysWrite:
 			m.pc = int(op.PC)
-			if err := m.sysWrite(op.A); err != nil {
+			if err := m.rt.Write(regs[op.A]); err != nil {
 				return nil, err
 			}
 		case exec.XSysNl:
-			m.out.WriteByte('\n')
+			m.rt.Nl()
 		case exec.XSysWriteCode:
-			m.out.WriteByte(byte(regs[op.A].Int()))
+			m.rt.WriteCode(regs[op.A])
 		case exec.XSysCompare:
 			m.pc = int(op.PC)
 			if err := m.sysCompare(op.A, op.B); err != nil {
@@ -393,15 +375,15 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			}
 		case exec.XFStAdd:
 			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
+			if addr >= m.rt.Limit[op.Region] {
 				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
+				jump, err := m.raise(op.Region.Overflow())
 				if err != nil {
 					return nil, err
 				}
 				if jump {
 					// The store faulted: unwind now, the bump never runs.
-					m.ctr.skipStAdd++
+					m.ctr.mix.SkipStAdd++
 					next = int(s.Throw)
 					break
 				}
@@ -411,7 +393,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.storeErr(addr)
 			}
 			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
+			m.rt.St.Touch(addr)
 			if steps >= max {
 				m.pc = int(op.PC) + 1
 				return nil, m.faultErr(fault.StepLimit)
@@ -436,7 +418,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 					return nil, m.faultErr(fault.StepLimit)
 				}
 				steps++
-				m.ctr.cmovMoves++
+				m.ctr.mix.CMovMoves++
 				regs[op.D2] = regs[op.A2]
 			}
 		case exec.XFLdLd:
@@ -472,14 +454,14 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			regs[op.D2] = regs[op.A2]
 		case exec.XFStSt:
 			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
+			if addr >= m.rt.Limit[op.Region] {
 				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
+				jump, err := m.raise(op.Region.Overflow())
 				if err != nil {
 					return nil, err
 				}
 				if jump {
-					m.ctr.skipStSt++
+					m.ctr.mix.SkipStSt++
 					next = int(s.Throw)
 					break
 				}
@@ -489,16 +471,16 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.storeErr(addr)
 			}
 			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
+			m.rt.St.Touch(addr)
 			if steps >= max {
 				m.pc = int(op.PC) + 1
 				return nil, m.faultErr(fault.StepLimit)
 			}
 			steps++
 			addr = regs[op.A2].Val() + uint64(op.Imm2)
-			if addr >= m.limit[op.Region2] {
+			if addr >= m.rt.Limit[op.Region2] {
 				m.pc = int(op.PC) + 1
-				jump, err := m.raise(overflowKind(op.Region2))
+				jump, err := m.raise(op.Region2.Overflow())
 				if err != nil {
 					return nil, err
 				}
@@ -512,17 +494,17 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.storeErr(addr)
 			}
 			mem[addr] = regs[op.D2]
-			m.st.Touch(addr)
+			m.rt.St.Touch(addr)
 		case exec.XFStMovI:
 			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= m.limit[op.Region] {
+			if addr >= m.rt.Limit[op.Region] {
 				m.pc = int(op.PC)
-				jump, err := m.raise(overflowKind(op.Region))
+				jump, err := m.raise(op.Region.Overflow())
 				if err != nil {
 					return nil, err
 				}
 				if jump {
-					m.ctr.skipStMovI++
+					m.ctr.mix.SkipStMovI++
 					next = int(s.Throw)
 					break
 				}
@@ -532,7 +514,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.storeErr(addr)
 			}
 			mem[addr] = regs[op.B]
-			m.st.Touch(addr)
+			m.rt.St.Touch(addr)
 			if steps >= max {
 				m.pc = int(op.PC) + 1
 				return nil, m.faultErr(fault.StepLimit)
@@ -547,9 +529,9 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			}
 			steps++
 			addr := regs[op.A2].Val() + uint64(op.Imm2)
-			if addr >= m.limit[op.Region2] {
+			if addr >= m.rt.Limit[op.Region2] {
 				m.pc = int(op.PC) + 1
-				jump, err := m.raise(overflowKind(op.Region2))
+				jump, err := m.raise(op.Region2.Overflow())
 				if err != nil {
 					return nil, err
 				}
@@ -563,7 +545,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.storeErr(addr)
 			}
 			mem[addr] = regs[op.D2]
-			m.st.Touch(addr)
+			m.rt.St.Touch(addr)
 		case exec.XFMovMov:
 			regs[op.D] = regs[op.A]
 			if steps >= max {
@@ -603,7 +585,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 		if next <= x {
 			poll--
 			if poll <= 0 {
-				poll = m.pollEvery()
+				poll = m.rt.PollEvery()
 				if err := m.pollCheck(int(op.PC)); err != nil {
 					return nil, err
 				}

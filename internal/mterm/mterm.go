@@ -52,90 +52,6 @@ func Deref(m Mem, w word.W) (word.W, error) {
 	}
 }
 
-// Format renders a term the way write/1 does.
-func Format(m Mem, atoms *term.Table, w word.W) (string, error) {
-	var b strings.Builder
-	if err := format(&b, m, atoms, w, 0); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
-
-func format(b *strings.Builder, m Mem, atoms *term.Table, w word.W, depth int) error {
-	if depth > maxDepth {
-		return fmt.Errorf("mterm: term too deep")
-	}
-	w, err := Deref(m, w)
-	if err != nil {
-		return err
-	}
-	switch w.Tag() {
-	case word.Ref:
-		fmt.Fprintf(b, "_%d", w.Ptr())
-	case word.Int:
-		fmt.Fprintf(b, "%d", w.Int())
-	case word.Atom:
-		b.WriteString(atoms.Name(uint32(w.Val())))
-	case word.Lst:
-		b.WriteByte('[')
-		for {
-			h, err := m.Load(w.Ptr())
-			if err != nil {
-				return err
-			}
-			if err := format(b, m, atoms, h, depth+1); err != nil {
-				return err
-			}
-			t, err := m.Load(w.Ptr() + 1)
-			if err != nil {
-				return err
-			}
-			t, err = Deref(m, t)
-			if err != nil {
-				return err
-			}
-			if t.Tag() == word.Lst {
-				b.WriteByte(',')
-				w = t
-				continue
-			}
-			if t.Tag() == word.Atom && t.Val() == 0 { // '[]' is atom index 0
-				b.WriteByte(']')
-				return nil
-			}
-			b.WriteByte('|')
-			if err := format(b, m, atoms, t, depth+1); err != nil {
-				return err
-			}
-			b.WriteByte(']')
-			return nil
-		}
-	case word.Str:
-		f, err := m.Load(w.Ptr())
-		if err != nil {
-			return err
-		}
-		b.WriteString(atoms.Name(f.FunAtom()))
-		b.WriteByte('(')
-		for i := 0; i < f.FunArity(); i++ {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			x, err := m.Load(w.Ptr() + 1 + uint64(i))
-			if err != nil {
-				return err
-			}
-			if err := format(b, m, atoms, x, depth+1); err != nil {
-				return err
-			}
-		}
-		b.WriteByte(')')
-	default:
-		fmt.Fprintf(b, "<%s>", w)
-	}
-	return nil
-}
-
 // Compare implements the standard order of terms: Var < Int < Atom <
 // Compound (compound terms by arity, then functor name, then arguments).
 func Compare(m Mem, atoms *term.Table, a, b word.W) (int, error) {

@@ -47,6 +47,8 @@ func atoms() *term.Table {
 	return t
 }
 
+// TestFormatBasics covers the one-token terms, which FormatOps prints
+// without building a writer, and a proper list.
 func TestFormatBasics(t *testing.T) {
 	h := newHeap()
 	at := atoms()
@@ -63,7 +65,7 @@ func TestFormatBasics(t *testing.T) {
 		{h.list(word.MakeInt(1), word.MakeInt(2)), "[1,2]"},
 	}
 	for _, c := range cases {
-		got, err := Format(SliceMem(h.mem), at, c.w)
+		got, err := FormatOps(SliceMem(h.mem), at, c.w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +82,7 @@ func TestFormatStructAndPartialList(t *testing.T) {
 
 	sAt := h.push(word.MakeFun(fIdx, 2), word.MakeInt(1), word.MakeInt(2))
 	s := word.Make(word.Str, sAt)
-	got, err := Format(SliceMem(h.mem), at, s)
+	got, err := FormatOps(SliceMem(h.mem), at, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestFormatStructAndPartialList(t *testing.T) {
 
 	v := h.unbound()
 	cAt := h.push(word.MakeInt(9), v)
-	got, err = Format(SliceMem(h.mem), at, word.Make(word.Lst, cAt))
+	got, err = FormatOps(SliceMem(h.mem), at, word.Make(word.Lst, cAt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +175,7 @@ func TestLoadOutOfRange(t *testing.T) {
 	if _, err := m.Load(10); err == nil {
 		t.Error("expected out-of-range error")
 	}
-	if _, err := Format(m, atoms(), word.Make(word.Lst, 100)); err == nil {
+	if _, err := FormatOps(m, atoms(), word.Make(word.Lst, 100)); err == nil {
 		t.Error("format through a bad pointer must fail")
 	}
 }

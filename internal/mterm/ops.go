@@ -9,48 +9,6 @@ import (
 	"symbol/internal/word"
 )
 
-// The standard operator table, mirrored from the reader, used by write/1 to
-// print operator terms in operator notation with minimal parentheses.
-type opKind uint8
-
-const (
-	opXFX opKind = iota
-	opXFY
-	opYFX
-	opFY
-	opFX
-)
-
-type opInfo struct {
-	prio int
-	kind opKind
-}
-
-var infixOps = map[string]opInfo{
-	":-": {1200, opXFX}, "-->": {1200, opXFX},
-	";":  {1100, opXFY},
-	"->": {1050, opXFY},
-	",":  {1000, opXFY},
-	"=":  {700, opXFX}, "\\=": {700, opXFX}, "==": {700, opXFX},
-	"\\==": {700, opXFX}, "is": {700, opXFX}, "=:=": {700, opXFX},
-	"=\\=": {700, opXFX}, "<": {700, opXFX}, ">": {700, opXFX},
-	"=<": {700, opXFX}, ">=": {700, opXFX}, "@<": {700, opXFX},
-	"@>": {700, opXFX}, "@=<": {700, opXFX}, "@>=": {700, opXFX},
-	"=..": {700, opXFX},
-	"+":   {500, opYFX}, "-": {500, opYFX}, "/\\": {500, opYFX},
-	"\\/": {500, opYFX}, "xor": {500, opYFX},
-	"*": {400, opYFX}, "/": {400, opYFX}, "//": {400, opYFX},
-	"mod": {400, opYFX}, "rem": {400, opYFX}, "<<": {400, opYFX},
-	">>": {400, opYFX},
-	"**": {200, opXFX}, "^": {200, opXFY},
-}
-
-var prefixOps = map[string]opInfo{
-	":-": {1200, opFX}, "?-": {1200, opFX},
-	"\\+": {900, opFY},
-	"-":   {200, opFY}, "+": {200, opFY}, "\\": {200, opFY},
-}
-
 // glueWriter emits tokens, inserting a space whenever two adjacent tokens
 // would otherwise lex as one (symbolic-symbolic or alphanumeric-
 // alphanumeric adjacency), so printed terms always read back as written.
@@ -62,10 +20,6 @@ type glueWriter struct {
 	afterInfix bool
 }
 
-const symChars = "+-*/\\^<>=~:.?@#&$"
-
-func symCh(c byte) bool { return strings.IndexByte(symChars, c) >= 0 }
-
 func alnumCh(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
@@ -75,9 +29,9 @@ func (g *glueWriter) WriteString(s string) {
 		return
 	}
 	c := s[0]
-	nameEnd := symCh(g.last) || alnumCh(g.last)
+	nameEnd := term.IsSymbolChar(g.last) || alnumCh(g.last)
 	switch {
-	case (symCh(g.last) && symCh(c)) || (alnumCh(g.last) && alnumCh(c)):
+	case (term.IsSymbolChar(g.last) && term.IsSymbolChar(c)) || (alnumCh(g.last) && alnumCh(c)):
 		// Two halves of one token.
 		g.b.WriteByte(' ')
 	case c == '(' && nameEnd && !g.afterInfix:
@@ -109,9 +63,10 @@ func (g *glueWriter) WriteByte(c byte) error {
 	return nil
 }
 
-// FormatOps renders a term like Format but uses operator notation for the
-// standard operators, inserting parentheses only where priorities demand
-// and spaces only where tokens would otherwise glue.
+// FormatOps renders a term the way write/1 does: operator notation for
+// the standard operators (term.InfixOps, term.PrefixOps), with parentheses
+// only where priorities demand and spaces only where tokens would
+// otherwise glue. Unbound variables print as _<address>.
 func FormatOps(m Mem, atoms *term.Table, w word.W) (string, error) {
 	// An integer or atom prints as its one token: no glue to decide, so no
 	// builder to allocate.
@@ -161,15 +116,9 @@ func formatOps(b *glueWriter, m Mem, atoms *term.Table, w word.W, maxPrec, depth
 		arg := func(i int) (word.W, error) { return m.Load(w.Ptr() + 1 + uint64(i)) }
 
 		if arity == 2 {
-			if op, ok := infixOps[name]; ok {
-				lMax, rMax := op.prio-1, op.prio-1
-				switch op.kind {
-				case opXFY:
-					rMax = op.prio
-				case opYFX:
-					lMax = op.prio
-				}
-				open := op.prio > maxPrec
+			if op, ok := term.InfixOps[name]; ok {
+				lMax, rMax := op.Infix()
+				open := op.Prio > maxPrec
 				if open {
 					b.WriteByte('(')
 				}
@@ -195,11 +144,8 @@ func formatOps(b *glueWriter, m Mem, atoms *term.Table, w word.W, maxPrec, depth
 			}
 		}
 		if arity == 1 {
-			if op, ok := prefixOps[name]; ok {
-				sub := op.prio
-				if op.kind == opFX {
-					sub = op.prio - 1
-				}
+			if op, ok := term.PrefixOps[name]; ok {
+				sub := op.Operand()
 				a0, err := arg(0)
 				if err != nil {
 					return err
@@ -224,7 +170,7 @@ func formatOps(b *glueWriter, m Mem, atoms *term.Table, w word.W, maxPrec, depth
 					b.WriteByte(')')
 					return nil
 				}
-				open := op.prio > maxPrec
+				open := op.Prio > maxPrec
 				if open {
 					b.WriteByte('(')
 				}

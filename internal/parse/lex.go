@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+
+	"symbol/internal/term"
 )
 
 type tokKind uint8
@@ -53,10 +55,6 @@ type lexer struct {
 
 func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
 
-const symChars = "+-*/\\^<>=~:.?@#&$"
-
-func isSymCh(c byte) bool { return strings.IndexByte(symChars, c) >= 0 }
-
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isAlnum(c byte) bool {
@@ -65,13 +63,6 @@ func isAlnum(c byte) bool {
 
 func (l *lexer) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("line %d: %s", l.line, fmt.Sprintf(format, args...))
-}
-
-func (l *lexer) peekByte() byte {
-	if l.pos < len(l.src) {
-		return l.src[l.pos]
-	}
-	return 0
 }
 
 func (l *lexer) skipSpace() error {
@@ -153,8 +144,8 @@ func (l *lexer) next() (token, error) {
 			l.pos++
 		}
 		return mk(tokVar, l.src[start:l.pos]), nil
-	case isSymCh(c):
-		for l.pos < len(l.src) && isSymCh(l.src[l.pos]) {
+	case term.IsSymbolChar(c):
+		for l.pos < len(l.src) && term.IsSymbolChar(l.src[l.pos]) {
 			l.pos++
 		}
 		text := l.src[start:l.pos]

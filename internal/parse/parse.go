@@ -6,70 +6,16 @@ import (
 	"symbol/internal/term"
 )
 
-// opType is a standard Prolog operator type.
-type opType uint8
-
-const (
-	xfx opType = iota
-	xfy
-	yfx
-	fy
-	fx
-	xf
-	yf
-)
-
-type opDef struct {
-	prio int
-	typ  opType
-}
-
-// opTable holds prefix and infix/postfix definitions separately, as ISO
-// allows an atom to be both (e.g. '-').
-type opTable struct {
-	prefix map[string]opDef
-	infix  map[string]opDef
-}
-
-func defaultOps() *opTable {
-	t := &opTable{prefix: map[string]opDef{}, infix: map[string]opDef{}}
-	in := func(p int, ty opType, names ...string) {
-		for _, n := range names {
-			t.infix[n] = opDef{p, ty}
-		}
-	}
-	pre := func(p int, ty opType, names ...string) {
-		for _, n := range names {
-			t.prefix[n] = opDef{p, ty}
-		}
-	}
-	in(1200, xfx, ":-", "-->")
-	pre(1200, fx, ":-", "?-")
-	in(1100, xfy, ";")
-	in(1050, xfy, "->")
-	in(1000, xfy, ",")
-	pre(900, fy, "\\+")
-	in(700, xfx, "=", "\\=", "==", "\\==", "is", "=:=", "=\\=",
-		"<", ">", "=<", ">=", "@<", "@>", "@=<", "@>=", "=..")
-	in(500, yfx, "+", "-", "/\\", "\\/", "xor")
-	in(400, yfx, "*", "/", "//", "mod", "rem", "<<", ">>")
-	in(200, xfx, "**")
-	in(200, xfy, "^")
-	pre(200, fy, "-", "+", "\\")
-	return t
-}
-
 // Parser reads a sequence of Prolog clauses from source text.
 type Parser struct {
 	lex  *lexer
-	ops  *opTable
 	tok  token
 	vars map[string]*term.Var // variable scope of the current clause
 }
 
 // New returns a parser over src with the standard operator table.
 func New(src string) (*Parser, error) {
-	p := &Parser{lex: newLexer(src), ops: defaultOps()}
+	p := &Parser{lex: newLexer(src)}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -128,8 +74,8 @@ func All(src string) ([]term.Term, error) {
 	}
 }
 
-// parse parses a term with maximum priority maxPrec, then folds infix and
-// postfix operators (operator-precedence climbing).
+// parse parses a term with maximum priority maxPrec, then folds infix
+// operators (operator-precedence climbing).
 func (p *Parser) parse(maxPrec int) (term.Term, error) {
 	left, leftPrec, err := p.parsePrimary(maxPrec)
 	if err != nil {
@@ -152,21 +98,11 @@ func (p *Parser) parseInfix(left term.Term, leftPrec, maxPrec int) (term.Term, e
 		default:
 			return left, nil
 		}
-		def, ok := p.ops.infix[name]
-		if !ok || def.prio > maxPrec {
+		def, ok := term.InfixOps[name]
+		if !ok || def.Prio > maxPrec {
 			return left, nil
 		}
-		var maxLeft, maxRight int
-		switch def.typ {
-		case xfx:
-			maxLeft, maxRight = def.prio-1, def.prio-1
-		case xfy:
-			maxLeft, maxRight = def.prio-1, def.prio
-		case yfx:
-			maxLeft, maxRight = def.prio, def.prio-1
-		default:
-			return left, nil // postfix unsupported in benchmarks
-		}
+		maxLeft, maxRight := def.Infix()
 		if leftPrec > maxLeft {
 			return left, nil
 		}
@@ -178,7 +114,7 @@ func (p *Parser) parseInfix(left term.Term, leftPrec, maxPrec int) (term.Term, e
 			return nil, err
 		}
 		left = &term.Compound{Functor: name, Args: []term.Term{left, right}}
-		leftPrec = def.prio
+		leftPrec = def.Prio
 	}
 }
 
@@ -266,16 +202,12 @@ func (p *Parser) parsePrimary(maxPrec int) (term.Term, int, error) {
 			return term.Int(-v), 0, nil
 		}
 		// Prefix operator application.
-		if def, ok := p.ops.prefix[tok.text]; ok && def.prio <= maxPrec && p.startsTerm() {
-			sub := def.prio
-			if def.typ == fx {
-				sub = def.prio - 1
-			}
-			arg, err := p.parse(sub)
+		if def, ok := term.PrefixOps[tok.text]; ok && def.Prio <= maxPrec && p.startsTerm() {
+			arg, err := p.parse(def.Operand())
 			if err != nil {
 				return nil, 0, err
 			}
-			return &term.Compound{Functor: tok.text, Args: []term.Term{arg}}, def.prio, nil
+			return &term.Compound{Functor: tok.text, Args: []term.Term{arg}}, def.Prio, nil
 		}
 		return term.Atom(tok.text), 0, nil
 	case tokEnd:

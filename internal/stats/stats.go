@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 
 	"symbol/internal/emu"
@@ -210,13 +209,4 @@ func NinetyFifty(prog *ic.Program, prof *emu.Profile) (backward, forward float64
 		forward = fT / fN
 	}
 	return backward, forward
-}
-
-// FormatMix renders a mix for reports.
-func FormatMix(m Mix) string {
-	s := ""
-	for c := ic.Class(0); c < ic.NumClasses; c++ {
-		s += fmt.Sprintf("%-8s %6.2f%%\n", c, 100*m.Fraction(c))
-	}
-	return s
 }

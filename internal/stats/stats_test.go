@@ -162,14 +162,3 @@ func TestNinetyFifty(t *testing.T) {
 		t.Errorf("back=%f fwd=%f", back, fwd)
 	}
 }
-
-func TestFormatMix(t *testing.T) {
-	var m Mix
-	m.Counts[ic.ClassMemory] = 32
-	m.Counts[ic.ClassALU] = 68
-	m.Total = 100
-	s := FormatMix(m)
-	if s == "" {
-		t.Error("empty format")
-	}
-}

@@ -159,7 +159,7 @@ func isSymbolicAtom(s string) bool {
 		return false
 	}
 	for i := 0; i < len(s); i++ {
-		if !strings.ContainsRune("+-*/\\^<>=~:.?@#&$", rune(s[i])) {
+		if !IsSymbolChar(s[i]) {
 			return false
 		}
 	}
@@ -218,32 +218,6 @@ func Vars(t Term, dst []*Var) []*Var {
 		}
 	}
 	return dst
-}
-
-// Rename returns a copy of t with every variable replaced by a fresh one
-// (consistently). It is used to standardize clauses apart.
-func Rename(t Term) Term {
-	m := map[*Var]*Var{}
-	var walk func(Term) Term
-	walk = func(t Term) Term {
-		switch x := t.(type) {
-		case *Var:
-			nv, ok := m[x]
-			if !ok {
-				nv = &Var{Name: x.Name}
-				m[x] = nv
-			}
-			return nv
-		case *Compound:
-			args := make([]Term, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = walk(a)
-			}
-			return &Compound{Functor: x.Functor, Args: args}
-		}
-		return t
-	}
-	return walk(t)
 }
 
 // Table interns atom names to dense indices used by the simulated machine.

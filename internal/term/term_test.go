@@ -89,22 +89,6 @@ func TestVarsOrderAndDedup(t *testing.T) {
 	}
 }
 
-func TestRenameConsistency(t *testing.T) {
-	x := &Var{Name: "X"}
-	tm := &Compound{Functor: "f", Args: []Term{x, x, Int(3)}}
-	r := Rename(tm).(*Compound)
-	rx, ok := r.Args[0].(*Var)
-	if !ok || rx == x {
-		t.Fatal("variable must be replaced by a fresh one")
-	}
-	if r.Args[1] != rx {
-		t.Error("occurrences of the same variable must stay shared")
-	}
-	if r.Args[2] != Int(3) {
-		t.Error("constants unchanged")
-	}
-}
-
 func TestTableInterning(t *testing.T) {
 	tab := NewTable()
 	if tab.Intern("[]") != 0 {

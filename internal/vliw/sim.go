@@ -2,14 +2,11 @@ package vliw
 
 import (
 	"fmt"
-	"io"
-	"strings"
 	"time"
 
 	"symbol/internal/exec"
 	"symbol/internal/fault"
 	"symbol/internal/ic"
-	"symbol/internal/mterm"
 	"symbol/internal/obs"
 	"symbol/internal/word"
 )
@@ -47,8 +44,6 @@ type SimOptions struct {
 	// Nil means a private state, freed before Sim returns. Mirrors
 	// emu.Options.State.
 	State *ic.State
-	// Trace, if non-nil, receives one line per executed word (debug aid).
-	Trace io.Writer
 	// Events, if non-nil, receives executor milestone events. Unlike the
 	// sequential emulator the simulator has no separate reference loop, so
 	// the hooks run inline under a nil check; compaction can speculate or
@@ -113,15 +108,14 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 	mem := st.Mem()
 	xwords := p.XWords()
 	reads := p.reads
-	var out strings.Builder
 
 	res := &SimResult{}
 	start := time.Now()
 	events := opts.Events
 	// Per-opcode dispatch counts, expanded into the class mix at halt; the
 	// VLIW streams carry only plain (unfused) opcodes, so no fixups apply.
-	var disp [256]int64
-	var faultsRaised, faultsCaught int64
+	var mix exec.Mix
+	disp := &mix.Disp
 	var cycle int64
 	pcW := p.Entry
 	var writes []pendingWrite
@@ -138,16 +132,6 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 		return e
 	}
 
-	// Region bounds under the configured layout; see emu for why the
-	// one-sided check (addr past the annotated region's configured end)
-	// is sound for this runtime's store sites. RegionUnknown gets an
-	// unreachable limit so unannotated stores need no separate test.
-	var limit [ic.RegionBall + 1]uint64
-	limit[ic.RegionUnknown] = ^uint64(0)
-	for r := ic.RegionHeap; r <= ic.RegionBall; r++ {
-		limit[r] = opts.Layout.Limit(r)
-	}
-	var pendingFault fault.Kind
 	throwWord := -1
 	if p.IC.ThrowPC > 0 {
 		if tw, ok := p.WordOf[p.IC.ThrowPC]; ok {
@@ -158,18 +142,16 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 	if fw, ok := p.WordOf[p.IC.FailPC]; ok {
 		failWord = fw
 	}
+	var rt exec.Runtime
+	rt.Init(p.IC, st, opts.Layout, throwWord >= 0)
+	rt.Deadline, rt.Interrupt = opts.Deadline, opts.Interrupt
 	// raise converts a catchable fault into a ball delivered to the unwind
 	// routine; other kinds (or programs without the routine) abort.
 	raise := func(w int, pc int32, k fault.Kind) error {
-		faultsRaised++
 		if events != nil {
 			events.Add(obs.Event{Step: res.Ops, PC: pc, Kind: obs.EvFault, Arg: int64(k)})
 		}
-		if fault.Catchable(k) && throwWord >= 0 &&
-			mterm.BallFault(mem, p.IC.Atoms, fault.BallName(k)) {
-			st.TouchRange(ic.BallBase, ic.BallBase+ic.BallSize)
-			pendingFault = k
-			faultsCaught++
+		if rt.Raise(k) {
 			return nil
 		}
 		return faultErr(w, k)
@@ -180,27 +162,12 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 			return nil, faultErr(pcW, fault.CycleLimit)
 		}
 		if cycle&(fault.CheckInterval-1) == 0 {
-			if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
-				return nil, faultErr(pcW, fault.Deadline)
-			}
-			if opts.Interrupt != nil {
-				select {
-				case <-opts.Interrupt:
-					return nil, faultErr(pcW, fault.Canceled)
-				default:
-				}
+			if k := rt.Poll(); k != fault.None {
+				return nil, faultErr(pcW, k)
 			}
 		}
 		if pcW < 0 || pcW >= len(p.Words) {
 			return nil, fail(pcW, "word index out of range")
-		}
-		if opts.Trace != nil {
-			fmt.Fprintf(opts.Trace, "%6d w%-5d", cycle, pcW)
-			for _, op := range p.Words[pcW] {
-				fmt.Fprintf(opts.Trace, " [%s]", op.Inst.String())
-			}
-			fmt.Fprintf(opts.Trace, "  b=%x tr=%x h=%x e=%x\n",
-				regs[ic.RegB].Val(), regs[ic.RegTR].Val(), regs[ic.RegH].Val(), regs[ic.RegE].Val())
 		}
 		if inFlight > cycle {
 			for _, r := range reads[pcW] {
@@ -235,7 +202,7 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 				writes = append(writes, pendingWrite{op.D, v, p.Config.MemLatency})
 			case exec.XSt:
 				addr := regs[op.A].Val() + uint64(op.Imm)
-				if addr >= limit[op.Region] {
+				if addr >= rt.Limit[op.Region] {
 					if err := raise(pcW, op.PC, op.Region.Overflow()); err != nil {
 						return nil, err
 					}
@@ -366,30 +333,23 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 				}
 
 			case exec.XSysWrite:
-				s, err := mterm.FormatOps(mterm.SliceMem(mem), p.IC.Atoms, regs[op.A])
-				if err != nil {
+				if err := rt.Write(regs[op.A]); err != nil {
 					return nil, err
 				}
-				out.WriteString(s)
 			case exec.XSysNl:
-				out.WriteByte('\n')
+				rt.Nl()
 			case exec.XSysWriteCode:
-				out.WriteByte(byte(regs[op.A].Int()))
+				rt.WriteCode(regs[op.A])
 			case exec.XSysCompare:
-				c, err := mterm.Compare(mterm.SliceMem(mem), p.IC.Atoms, regs[op.A], regs[op.B])
+				v, err := rt.Compare(regs[op.A], regs[op.B])
 				if err != nil {
 					return nil, err
 				}
-				writes = append(writes, pendingWrite{ic.RegRV, word.MakeInt(int64(c)), 1})
+				writes = append(writes, pendingWrite{ic.RegRV, v, 1})
 			case exec.XSysBallPut:
-				// Touch before the error check: a failed copy may still
-				// have written part of the ball area.
-				err := mterm.BallPut(mem, regs[op.A])
-				st.TouchRange(ic.BallBase, ic.BallBase+ic.BallSize)
-				if err != nil {
+				if err := rt.BallPut(regs[op.A]); err != nil {
 					return nil, fail(pcW, "%v", err)
 				}
-				pendingFault = fault.None
 				if events != nil {
 					events.Add(obs.Event{Step: res.Ops, PC: op.PC, Kind: obs.EvThrow})
 				}
@@ -403,7 +363,7 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 				nextW = throwWord
 				break ops
 			case exec.XSysBad:
-				return nil, fmt.Errorf("vliw: unknown sys op")
+				return nil, fail(pcW, "unknown sys op")
 			default:
 				return nil, fail(pcW, "unknown opcode")
 			}
@@ -421,24 +381,19 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 			if status == 2 {
 				// The unwind found no catch frame (the $throwunwind Halt 2
 				// path): surface the converted fault or the uncaught ball.
-				if pendingFault != fault.None {
-					return nil, faultErr(pcW, pendingFault)
-				}
-				reason := fault.UncaughtThrow.String()
-				if s, err := mterm.FormatOps(mterm.SliceMem(mem), p.IC.Atoms, mem[ic.BallBase+1]); err == nil {
-					reason += ": " + s
-				}
+				k, reason := rt.Uncaught()
 				e := fail(pcW, "%s", reason)
-				e.Err = fault.ErrUncaughtThrow
+				e.Err = fault.Of(k)
 				return nil, e
 			}
 			res.Status = status
-			res.Output = out.String()
+			res.Output = rt.Out.String()
 			res.Cycles = cycle
 			if events != nil {
 				events.Add(obs.Event{Step: res.Ops, PC: -1, Kind: obs.EvHalt, Arg: int64(status)})
 			}
-			res.Stats = buildStats(res, st, &disp, faultsRaised, faultsCaught, start)
+			res.Stats = rt.MixStats(res.Ops, &mix, time.Since(start))
+			res.Stats.Cycles = cycle
 			return res, nil
 		}
 		if branched {
@@ -451,33 +406,4 @@ func Sim(p *Program, opts SimOptions) (*SimResult, error) {
 		}
 		pcW = nextW
 	}
-}
-
-// buildStats expands the per-opcode dispatch counts into the per-run
-// record. The marked opcodes (see ic.Mark) make the dispatch array itself
-// the choice-point and trail-undo counters; high-water marks come from the
-// page-granular dirty set.
-func buildStats(res *SimResult, st *ic.State, disp *[256]int64, raised, caught int64, start time.Time) obs.Stats {
-	var cls [int(ic.NumClasses) + 1]int64
-	for c := 0; c < int(exec.NumCodes); c++ {
-		if n := disp[c]; n != 0 {
-			cls[exec.ClassOf[c]] += n
-		}
-	}
-	s := obs.Stats{
-		Steps:        res.Ops,
-		Cycles:       res.Cycles,
-		MemOps:       cls[ic.ClassMemory],
-		ALUOps:       cls[ic.ClassALU],
-		MoveOps:      cls[ic.ClassMove],
-		ControlOps:   cls[ic.ClassControl],
-		SysOps:       cls[ic.ClassSys],
-		ChoicePoints: disp[exec.XMovCP],
-		TrailUndos:   disp[exec.XLdUndo],
-		FaultsRaised: raised,
-		FaultsCaught: caught,
-		Wall:         time.Since(start),
-	}
-	st.HighWater(&s)
-	return s
 }

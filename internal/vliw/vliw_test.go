@@ -244,3 +244,16 @@ func TestCycleLimit(t *testing.T) {
 		t.Error("expected cycle-limit error on infinite loop")
 	}
 }
+
+// TestUnknownSysOpError: a SysID no table names fails with simulation
+// context, like every other simulator failure.
+func TestUnknownSysOpError(t *testing.T) {
+	p := mk([]Word{
+		{{Inst: ic.Inst{Op: ic.SysOp, Sys: ic.SysID(9)}}},
+	}, 0)
+	_, err := Sim(p, SimOptions{})
+	const want = "vliw: word 0 cycle 0: unknown sys op"
+	if _, ok := err.(*SimError); !ok || err.Error() != want {
+		t.Errorf("error %T %v, want *SimError %q", err, err, want)
+	}
+}

@@ -15,9 +15,8 @@ import (
 type LoadOption func(*loadConfig)
 
 type loadConfig struct {
-	opts       Options
-	goal       string
-	noFallback bool
+	opts Options
+	goal string
 }
 
 // WithCompileOptions sets the compile options for source inputs. Snapshot
@@ -44,16 +43,6 @@ func WithGoal(goal string) LoadOption {
 	return func(c *loadConfig) { c.goal = goal }
 }
 
-// WithoutRecompileFallback disables the version-skew fallback: by default,
-// loading a snapshot written by a different format version recompiles from
-// the source embedded in the snapshot. With this option Load instead
-// returns the *SnapshotVersionError, for callers that must never pay
-// compile latency (for example a serving tier that would rather reject
-// than stall).
-func WithoutRecompileFallback() LoadOption {
-	return func(c *loadConfig) { c.noFallback = true }
-}
-
 // Load is the single compile/load entry point: it accepts either Prolog
 // source text or a binary snapshot (distinguished by the snapshot magic,
 // see IsSnapshot) and returns a runnable Program.
@@ -64,8 +53,8 @@ func WithoutRecompileFallback() LoadOption {
 //     no compilation — and fails with typed errors:
 //     *SnapshotFormatError or *SnapshotChecksumError for corruption,
 //     *SnapshotVersionError for a format-version mismatch. Version skew
-//     falls back to recompiling the snapshot's embedded source unless
-//     WithoutRecompileFallback is set.
+//     falls back to recompiling the snapshot's embedded source; a skewed
+//     snapshot without one returns the error.
 //
 // Snapshots are produced by Program.Snapshot, or offline with
 // symbol compile -o.
@@ -82,7 +71,7 @@ func Load(ctx context.Context, src []byte, opts ...LoadOption) (_ *Program, err 
 		if cfg.goal != "" {
 			return nil, fmt.Errorf("symbol: WithGoal does not apply to snapshot inputs (the goal is baked in at snapshot build time)")
 		}
-		return loadSnapshot(src, cfg)
+		return loadSnapshot(src)
 	}
 	return compileText(string(src), cfg.opts, cfg.goal)
 }
@@ -92,12 +81,12 @@ func Load(ctx context.Context, src []byte, opts ...LoadOption) (_ *Program, err 
 func IsSnapshot(data []byte) bool { return snapshot.Sniff(data) }
 
 // loadSnapshot decodes a snapshot container into a Program, recompiling
-// from the embedded source on version skew (unless disabled).
-func loadSnapshot(data []byte, cfg loadConfig) (*Program, error) {
+// from the embedded source on version skew.
+func loadSnapshot(data []byte) (*Program, error) {
 	img, err := snapshot.Decode(data)
 	if err != nil {
 		var vErr *snapshot.VersionError
-		if errors.As(err, &vErr) && vErr.Source != "" && !cfg.noFallback {
+		if errors.As(err, &vErr) && vErr.Source != "" {
 			// The snapshot's recorded compile options win over
 			// WithCompileOptions, matching the load-success path.
 			opts := Options{ArithChecks: vErr.Arith, MaxSteps: vErr.MaxSteps}
@@ -201,7 +190,7 @@ type (
 	SnapshotChecksumError = snapshot.ChecksumError
 	// SnapshotVersionError reports a snapshot written by a different
 	// format version. Load recovers from it automatically when the
-	// snapshot embeds its source (see WithoutRecompileFallback).
+	// snapshot embeds its source.
 	SnapshotVersionError = snapshot.VersionError
 )
 

@@ -249,9 +249,23 @@ func TestSnapshotEmbeddedProfile(t *testing.T) {
 	}
 }
 
+// sourceless returns p's snapshot without its embedded source. A
+// version-skewed copy of it has nothing to recompile, so Load returns the
+// typed *SnapshotVersionError.
+func sourceless(t *testing.T, p *symbol.Program) []byte {
+	t.Helper()
+	img, err := snapshot.Decode(p.Snapshot())
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	img.Source = ""
+	return snapshot.Encode(img)
+}
+
 // TestSnapshotCorruptionTyped flips bytes across a real corpus snapshot
 // and checks Load's error contract: typed snapshot errors, never a panic,
-// never a silently-wrong program.
+// never a silently-wrong program. The snapshot embeds no source, so a
+// flipped version byte cannot fall back to a recompile.
 func TestSnapshotCorruptionTyped(t *testing.T) {
 	ctx := context.Background()
 	b, err := benchprog.Get("reverse")
@@ -262,12 +276,12 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	data := orig.Snapshot()
+	data := sourceless(t, orig)
 	stride := 7 // sample positions; the exhaustive sweep lives in internal/snapshot
 	for i := 0; i < len(data); i += stride {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x55
-		_, err := symbol.Load(ctx, mut, symbol.WithoutRecompileFallback())
+		_, err := symbol.Load(ctx, mut)
 		if i < 8 {
 			// Magic flips stop looking like a snapshot, so Load treats the
 			// bytes as Prolog source — binary garbage must still error.
@@ -311,7 +325,7 @@ func TestSnapshotBadFaultKind(t *testing.T) {
 			if n == 0 {
 				t.Fatal("program has no SysFault instruction")
 			}
-			_, err = symbol.Load(ctx, snapshot.Encode(img), symbol.WithoutRecompileFallback())
+			_, err = symbol.Load(ctx, snapshot.Encode(img))
 			var fe *symbol.SnapshotFormatError
 			if !errors.As(err, &fe) {
 				t.Fatalf("Load = %v, want *SnapshotFormatError", err)
@@ -321,8 +335,7 @@ func TestSnapshotBadFaultKind(t *testing.T) {
 }
 
 // TestSnapshotVersionFallback: a version-skewed snapshot recompiles from
-// its embedded source by default, and surfaces the typed error when the
-// fallback is disabled.
+// its embedded source, and surfaces the typed error when it embeds none.
 func TestSnapshotVersionFallback(t *testing.T) {
 	ctx := context.Background()
 	b, err := benchprog.Get("reverse")
@@ -337,11 +350,16 @@ func TestSnapshotVersionFallback(t *testing.T) {
 	data[8]++ // format version field (little-endian u32 at offset 8)
 
 	var ve *symbol.SnapshotVersionError
-	if _, err := symbol.Load(ctx, data, symbol.WithoutRecompileFallback()); !errors.As(err, &ve) {
-		t.Fatalf("WithoutRecompileFallback: got %v, want SnapshotVersionError", err)
+	if _, err := snapshot.Decode(data); !errors.As(err, &ve) {
+		t.Fatalf("Decode: got %v, want SnapshotVersionError", err)
 	}
 	if ve.Source != b.Source {
 		t.Fatal("version error did not recover the embedded source")
+	}
+	skewed := sourceless(t, orig)
+	skewed[8]++
+	if _, err := symbol.Load(ctx, skewed); !errors.As(err, &ve) {
+		t.Fatalf("skewed snapshot without source: got %v, want SnapshotVersionError", err)
 	}
 
 	prog, err := symbol.Load(ctx, data)
