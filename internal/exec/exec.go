@@ -102,15 +102,10 @@ const (
 	// Superinstructions. Each fuses two ICIs; Width is 2 and the executor
 	// accounts both constituents (pcs PC and PC+1) in steps, budgets and
 	// faults. Second-constituent operands live in D2/A2/Imm2.
-	XFLdBrTagEq  // D = mem[A+Imm]; if tag(regs[D2]) == Tag goto Target
-	XFLdBrTagNe  // D = mem[A+Imm]; if tag(regs[D2]) != Tag goto Target
 	XFLdBrCmpEqR // D = mem[A+Imm]; if regs[D2] == regs[A2] goto Target
-	XFLdBrCmpNeR // D = mem[A+Imm]; if regs[D2] != regs[A2] goto Target
-	XFGetTagBrEqI
-	XFGetTagBrNeI
-	XFStAdd  // mem[A+Imm] = B (region-checked); D2 = D2 + Imm2
-	XFMovJmp // D = A; goto Target
-	XFCMovR  // if cmp(regs[A], regs[B], Cond) skip, else D2 = regs[A2]
+	XFStAdd      // mem[A+Imm] = B (region-checked); D2 = D2 + Imm2
+	XFMovJmp     // D = A; goto Target
+	XFCMovR      // if cmp(regs[A], regs[B], Cond) skip, else D2 = regs[A2]
 
 	// Memory-shaped pairs: choice-point pushes and restores are runs of
 	// adjacent stores/loads, and argument setup is runs of moves, so these
@@ -122,7 +117,6 @@ const (
 	XFMovISt     // D = W; mem[A2+Imm2] = regs[D2] (Region2)
 	XFMovMov     // D = regs[A]; D2 = regs[A2]
 	XFMovBrTagEq // D = regs[A]; if tag(regs[D2]) == Tag goto Target
-	XFMovBrTagNe // D = regs[A]; if tag(regs[D2]) != Tag goto Target
 
 	// Marked singles (see ic.Mark): semantically identical to XMov/XLd, but
 	// split into their own opcodes so the per-opcode dispatch counters double
@@ -145,10 +139,9 @@ var codeNames = [NumCodes]string{
 	"jmp", "jmpr", "jsr", "halt",
 	"sys.write", "sys.nl", "sys.write_code", "sys.compare", "sys.ball_put",
 	"sys.fault", "sys.bad",
-	"f.ld+brtag.eq", "f.ld+brtag.ne", "f.ld+brcmp.eq", "f.ld+brcmp.ne",
-	"f.gettag+br.eq", "f.gettag+br.ne", "f.st+add", "f.mov+jmp", "f.cmov",
+	"f.ld+brcmp.eq", "f.st+add", "f.mov+jmp", "f.cmov",
 	"f.ld+ld", "f.ld+mov", "f.st+st", "f.st+movi", "f.movi+st", "f.mov+mov",
-	"f.mov+brtag.eq", "f.mov+brtag.ne",
+	"f.mov+brtag.eq",
 	"mov.cp", "ld.undo",
 }
 
@@ -160,7 +153,7 @@ func (c XCode) String() string {
 }
 
 // Fused reports whether the opcode is a superinstruction.
-func (c XCode) Fused() bool { return c >= XFLdBrTagEq && c <= XFMovBrTagNe }
+func (c XCode) Fused() bool { return c >= XFLdBrCmpEqR && c <= XFMovBrTagEq }
 
 // ClassOf maps each opcode to the paper's operation class of its (first)
 // constituent ICI, mirroring ic.Inst.Class. Class2Of gives the second
@@ -201,12 +194,7 @@ func init() {
 		one(c, ic.ClassSys)
 	}
 
-	two(XFLdBrTagEq, ic.ClassMemory, ic.ClassControl)
-	two(XFLdBrTagNe, ic.ClassMemory, ic.ClassControl)
 	two(XFLdBrCmpEqR, ic.ClassMemory, ic.ClassControl)
-	two(XFLdBrCmpNeR, ic.ClassMemory, ic.ClassControl)
-	two(XFGetTagBrEqI, ic.ClassALU, ic.ClassControl)
-	two(XFGetTagBrNeI, ic.ClassALU, ic.ClassControl)
 	two(XFStAdd, ic.ClassMemory, ic.ClassALU)
 	two(XFMovJmp, ic.ClassMove, ic.ClassControl)
 	two(XFCMovR, ic.ClassControl, ic.ClassMove)
@@ -217,7 +205,6 @@ func init() {
 	two(XFMovISt, ic.ClassMove, ic.ClassMemory)
 	two(XFMovMov, ic.ClassMove, ic.ClassMove)
 	two(XFMovBrTagEq, ic.ClassMove, ic.ClassControl)
-	two(XFMovBrTagNe, ic.ClassMove, ic.ClassControl)
 }
 
 // hasTarget reports whether the op's Target field is a code address that
@@ -226,8 +213,7 @@ func hasTarget(c XCode) bool {
 	switch c {
 	case XBrTagEq, XBrTagNe, XBrCmpEqR, XBrCmpNeR, XBrCmpEqI, XBrCmpNeI,
 		XBrCmpOrdR, XBrCmpOrdI, XJmp, XJsr,
-		XFLdBrTagEq, XFLdBrTagNe, XFLdBrCmpEqR, XFLdBrCmpNeR,
-		XFGetTagBrEqI, XFGetTagBrNeI, XFMovJmp, XFMovBrTagEq, XFMovBrTagNe:
+		XFLdBrCmpEqR, XFMovJmp, XFMovBrTagEq:
 		return true
 	}
 	return false

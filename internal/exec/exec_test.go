@@ -61,23 +61,29 @@ func TestDecode1Splits(t *testing.T) {
 
 // TestFusionCatalog drives each catalog shape through Predecode and checks
 // the resulting superinstruction, its operands, and the stream bookkeeping
-// (XOf interior marking, stats, width).
+// (XOf interior marking, stats, width). Rows that want no code are pairs
+// the catalog leaves out: both constituents must stay single ops.
 func TestFusionCatalog(t *testing.T) {
 	halt := ic.Inst{Op: ic.Halt}
 	cases := []struct {
 		name string
 		a, b ic.Inst
-		want XCode
+		want XCode // 0: the pair does not fuse
 	}{
 		{"ld+brtag", ic.Inst{Op: ic.Ld, D: t0, A: t1, Imm: 2},
-			ic.Inst{Op: ic.BrTag, A: t0, Tag: word.Ref, Target: 3}, XFLdBrTagEq},
+			ic.Inst{Op: ic.BrTag, A: t0, Tag: word.Ref, Target: 3}, 0},
 		{"ld+brtag.ne", ic.Inst{Op: ic.Ld, D: t0, A: t1},
-			ic.Inst{Op: ic.BrTag, A: t0, Cond: ic.CondNe, Tag: word.Ref, Target: 3}, XFLdBrTagNe},
+			ic.Inst{Op: ic.BrTag, A: t0, Cond: ic.CondNe, Tag: word.Ref, Target: 3}, 0},
 		{"ld+brcmp.eq.r", ic.Inst{Op: ic.Ld, D: t0, A: t1},
 			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondEq, B: t1, Target: 3}, XFLdBrCmpEqR},
+		{"ld+brcmp.ne.r", ic.Inst{Op: ic.Ld, D: t0, A: t1},
+			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondNe, B: t1, Target: 3}, 0},
 		{"gettag+br.eq.i", ic.Inst{Op: ic.GetTag, D: t0, A: t1},
 			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondEq, HasImm: true,
-				Word: word.MakeInt(int64(word.Lst)), Target: 3}, XFGetTagBrEqI},
+				Word: word.MakeInt(int64(word.Lst)), Target: 3}, 0},
+		{"gettag+br.ne.i", ic.Inst{Op: ic.GetTag, D: t0, A: t1},
+			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondNe, HasImm: true,
+				Word: word.MakeInt(int64(word.Lst)), Target: 3}, 0},
 		{"st+add", ic.Inst{Op: ic.St, A: ic.RegH, B: t0, Reg: ic.RegionHeap},
 			ic.Inst{Op: ic.Add, D: ic.RegH, A: ic.RegH, HasImm: true, Imm: 1}, XFStAdd},
 		{"mov+jmp", ic.Inst{Op: ic.Mov, D: t0, A: t1},
@@ -99,7 +105,7 @@ func TestFusionCatalog(t *testing.T) {
 		{"mov+brtag", ic.Inst{Op: ic.Mov, D: t0, A: t1},
 			ic.Inst{Op: ic.BrTag, A: t0, Tag: word.Ref, Target: 3}, XFMovBrTagEq},
 		{"mov+brtag.ne", ic.Inst{Op: ic.Mov, D: t0, A: t1},
-			ic.Inst{Op: ic.BrTag, A: t0, Cond: ic.CondNe, Tag: word.Ref, Target: 3}, XFMovBrTagNe},
+			ic.Inst{Op: ic.BrTag, A: t0, Cond: ic.CondNe, Tag: word.Ref, Target: 3}, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -111,6 +117,13 @@ func TestFusionCatalog(t *testing.T) {
 				t.Fatal("pair head has no stream index")
 			}
 			op := xp.Fused.Ops[x]
+			if c.want == 0 {
+				if op.Code.Fused() || xp.Fused.XOf[2] != x+1 || xp.Stats.FusedOps != xp.Stats.PlainOps {
+					t.Fatalf("fused to %s (XOf[2] %d, %d of %d ops), want single ops",
+						op.Code, xp.Fused.XOf[2], xp.Stats.FusedOps, xp.Stats.PlainOps)
+				}
+				return
+			}
 			if op.Code != c.want {
 				t.Fatalf("fused to %s, want %s", op.Code, c.want)
 			}
@@ -198,15 +211,15 @@ func TestTrapTargets(t *testing.T) {
 		{Op: ic.Nop},
 		{Op: ic.Jmp, Target: -1},
 		{Op: ic.Ld, D: t0, A: t1},
-		{Op: ic.BrTag, A: t0, Tag: word.Ref, Target: 99},
+		{Op: ic.BrCmp, A: t0, B: t1, Cond: ic.CondEq, Target: 99},
 		{Op: ic.Halt},
 		{Op: ic.BrCmp, A: t0, B: t1, Cond: ic.CondEq, Target: 7},
 		{Op: ic.Mov, D: t2, A: t0},
 	})
 	xp := Predecode(p)
-	if got := xp.Fused.Ops[xp.Fused.XOf[2]]; got.Code != XFLdBrTagEq || xp.Fused.Ops[got.Target].Imm != 99 {
-		t.Fatalf("ld+brtag fused to %s with target imm %d, want %s to a trap for pc 99",
-			got.Code, xp.Fused.Ops[got.Target].Imm, XFLdBrTagEq)
+	if got := xp.Fused.Ops[xp.Fused.XOf[2]]; got.Code != XFLdBrCmpEqR || xp.Fused.Ops[got.Target].Imm != 99 {
+		t.Fatalf("ld+brcmp.eq fused to %s with target imm %d, want %s to a trap for pc 99",
+			got.Code, xp.Fused.Ops[got.Target].Imm, XFLdBrCmpEqR)
 	}
 	if got := xp.Fused.Ops[xp.Fused.XOf[5]].Code; got != XFCMovR {
 		t.Fatalf("brcmp+mov fused to %s, want %s", got, XFCMovR)

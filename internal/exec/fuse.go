@@ -4,37 +4,30 @@ import (
 	"symbol/internal/ic"
 )
 
-// The fusion catalog covers the pairs the BAM expansion emits on its
-// hottest paths (internal/expand):
+// The fusion catalog holds the adjacent ICI pairs the BAM expansion
+// (internal/expand) runs most, measured as dispatches over one fused run of
+// each corpus program (DESIGN.md §8 has the table). There are eleven:
 //
-//	Ld + BrTag      — the pointer-chase half of deref: load a cell, branch
-//	                  on its tag (taken when the chain ends).
-//	Ld + BrCmp.eq/ne (reg) — the self-reference test half of deref: load a
-//	                  cell and compare it against the address register to
-//	                  detect an unbound variable.
-//	GetTag + BrCmp.eq/ne (imm) — explicit tag-test-and-branch (switch_on_tag
-//	                  shapes and hand-written IC).
+//	Ld + BrCmp.eq (reg) — the self-reference test of deref: load a cell
+//	                  and compare it against the address register.
+//	Mov + Jmp       — the deref loop tail: advance the chase register and
+//	                  jump back to the loop head.
+//	Mov + BrTag.eq  — move, then dispatch on a tag.
+//	BrCmp(target=pc+2) + Mov — compare-and-move: the max(EB,ESP) sequence
+//	                  in Try/Allocate/pushFrame, a two-ICI conditional move.
 //	St + Add (imm, d==a) — bump-allocate: store through H/TR/ESP and advance
 //	                  the pointer. Survives rename.Fold at block boundaries.
-//	Mov + Jmp       — the deref loop tail (advance the chase register and
-//	                  jump back to the loop head).
-//	BrCmp(target=pc+2) + Mov — compare-and-move: the max(EB,ESP) sequence in
-//	Try/Allocate/pushFrame, a two-ICI conditional move.
+//	Ld + Ld, Ld + Mov        — choice-point restore runs
+//	St + St, St + MovI, MovI + St — choice-point push and write-constant runs
+//	Mov + Mov                — argument and environment register shuffles
 //
-// Beyond the branch shapes, the dynamically hottest adjacent pairs in the
-// BAM expansion are memory runs: choice-point push (St+St... then the H/TR
-// bump), choice-point restore on backtracking (Ld+Ld...), argument setup
-// and environment shuffling (Mov+Mov, MovI+St, St+MovI), and the
-// move-then-dispatch tails (Mov+BrTag, Mov+Jmp). Those all fuse too:
-//
-//	Ld + Ld, Ld + Mov        — restore runs
-//	St + St, St + MovI, MovI + St — push / write-constant runs
-//	Mov + Mov                — register shuffles
-//	Mov + BrTag              — move-then-tag-dispatch
-//
-// MkTag+Br* is in the paper's hot set but this code generator never emits
-// it adjacently; it is intentionally absent (a MkTag result is always
-// stored or passed, not branched on).
+// A pair stays in the catalog only while the corpus dispatches it at least
+// a thousand times (TestFusedCatalogExecutes in internal/emu): each one is
+// a case of its own in the emulator's fused loop. That rule left out
+// Ld+BrTag, Ld+BrCmp.ne, GetTag+BrCmp (imm) and Mov+BrTag.ne, which the
+// code generator emits rarely or never; MkTag+Br*, in the paper's hot set,
+// is never emitted adjacently (a MkTag result is stored or passed, not
+// branched on). Their constituents run as single ops.
 //
 // Legality: the caller guarantees the second constituent's pc is not a jump
 // target (see jumpTargets), so control can only enter the pair at its head.
@@ -58,29 +51,14 @@ func fusePair(a, b *ic.Inst, pc int) (Op, bool) {
 	switch a.Op {
 	case ic.Ld:
 		switch b.Op {
-		case ic.BrTag:
-			code := XFLdBrTagEq
-			if b.Cond == ic.CondNe {
-				code = XFLdBrTagNe
-			}
-			return Op{
-				Code: code, Width: 2, PC: int32(pc),
-				D: a.D, A: a.A, Imm: a.Imm,
-				D2: b.A, Tag: b.Tag, Target: int32(b.Target),
-			}, true
 		case ic.BrCmp:
-			if b.HasImm || (b.Cond != ic.CondEq && b.Cond != ic.CondNe) {
-				break
+			if !b.HasImm && b.Cond == ic.CondEq {
+				return Op{
+					Code: XFLdBrCmpEqR, Width: 2, PC: int32(pc),
+					D: a.D, A: a.A, Imm: a.Imm,
+					D2: b.A, A2: b.B, Target: int32(b.Target),
+				}, true
 			}
-			code := XFLdBrCmpEqR
-			if b.Cond == ic.CondNe {
-				code = XFLdBrCmpNeR
-			}
-			return Op{
-				Code: code, Width: 2, PC: int32(pc),
-				D: a.D, A: a.A, Imm: a.Imm,
-				D2: b.A, A2: b.B, Target: int32(b.Target),
-			}, true
 		case ic.Ld:
 			return Op{
 				Code: XFLdLd, Width: 2, PC: int32(pc),
@@ -92,18 +70,6 @@ func fusePair(a, b *ic.Inst, pc int) (Op, bool) {
 				Code: XFLdMov, Width: 2, PC: int32(pc),
 				D: a.D, A: a.A, Imm: a.Imm,
 				D2: b.D, A2: b.A,
-			}, true
-		}
-	case ic.GetTag:
-		if b.Op == ic.BrCmp && b.HasImm && (b.Cond == ic.CondEq || b.Cond == ic.CondNe) {
-			code := XFGetTagBrEqI
-			if b.Cond == ic.CondNe {
-				code = XFGetTagBrNeI
-			}
-			return Op{
-				Code: code, Width: 2, PC: int32(pc),
-				D: a.D, A: a.A,
-				D2: b.A, W: b.Word, Target: int32(b.Target),
 			}, true
 		}
 	case ic.St:
@@ -150,15 +116,14 @@ func fusePair(a, b *ic.Inst, pc int) (Op, bool) {
 				D: a.D, A: a.A, D2: b.D, A2: b.A,
 			}, true
 		case ic.BrTag:
-			code := XFMovBrTagEq
-			if b.Cond == ic.CondNe {
-				code = XFMovBrTagNe
+			// Every condition but Ne means Eq (see Decode1).
+			if b.Cond != ic.CondNe {
+				return Op{
+					Code: XFMovBrTagEq, Width: 2, PC: int32(pc),
+					D: a.D, A: a.A,
+					D2: b.A, Tag: b.Tag, Target: int32(b.Target),
+				}, true
 			}
-			return Op{
-				Code: code, Width: 2, PC: int32(pc),
-				D: a.D, A: a.A,
-				D2: b.A, Tag: b.Tag, Target: int32(b.Target),
-			}, true
 		}
 	case ic.BrCmp:
 		// Compare-and-move: a branch that skips exactly the following Mov.

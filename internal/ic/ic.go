@@ -443,42 +443,6 @@ func (l Layout) Limit(r Region) uint64 {
 	return 0
 }
 
-// Base returns the first word address of region r (0 for unknown).
-func (l Layout) Base(r Region) uint64 {
-	switch r {
-	case RegionHeap:
-		return HeapBase
-	case RegionEnv:
-		return EnvBase
-	case RegionCP:
-		return CPBase
-	case RegionTrail:
-		return TrailBase
-	case RegionPDL:
-		return PDLBase
-	case RegionBall:
-		return BallBase
-	}
-	return 0
-}
-
-// RegionOf classifies a word address under the layout: addresses beyond
-// an area's configured limit but below its compile-time bound classify as
-// unknown, which is what makes shrunken-area stores detectable.
-func (l Layout) RegionOf(addr uint64) Region {
-	for _, r := range []Region{RegionHeap, RegionEnv, RegionCP, RegionTrail, RegionPDL, RegionBall} {
-		if addr >= l.Base(r) && addr < l.Limit(r) {
-			return r
-		}
-	}
-	return RegionUnknown
-}
-
-// RegionOf classifies a word address under the default layout.
-func RegionOf(addr uint64) Region {
-	return Layout{}.RegionOf(addr)
-}
-
 func regName(r Reg) string {
 	switch r {
 	case None:

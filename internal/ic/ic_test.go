@@ -115,23 +115,6 @@ func TestUsesAndDef(t *testing.T) {
 	}
 }
 
-func TestRegionOf(t *testing.T) {
-	cases := map[uint64]Region{
-		HeapBase:      RegionHeap,
-		HeapBase + 10: RegionHeap,
-		EnvBase:       RegionEnv,
-		CPBase:        RegionCP,
-		TrailBase:     RegionTrail,
-		PDLBase:       RegionPDL,
-		0:             RegionUnknown,
-	}
-	for addr, want := range cases {
-		if got := RegionOf(addr); got != want {
-			t.Errorf("RegionOf(%#x) = %v, want %v", addr, got, want)
-		}
-	}
-}
-
 func TestRegionsDisjoint(t *testing.T) {
 	// Region boundaries must not overlap.
 	bounds := [][2]uint64{

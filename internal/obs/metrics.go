@@ -220,23 +220,23 @@ func (m *Metrics) Snapshot() Snapshot {
 			s.Faults[k.String()] = n
 		}
 	}
-	s.LatencySeconds.Bounds = make([]float64, latencyBuckets)
-	s.LatencySeconds.Counts = make([]int64, latencyBuckets+1)
-	for i := 0; i < latencyBuckets; i++ {
-		s.LatencySeconds.Bounds[i] = float64(int64(1)<<uint(i)) / 1e6
-	}
-	for i := range m.latency {
-		s.LatencySeconds.Counts[i] = m.latency[i].Load()
-	}
-	s.StepsPerRun.Bounds = make([]float64, stepBuckets)
-	s.StepsPerRun.Counts = make([]int64, stepBuckets+1)
-	for i := 0; i < stepBuckets; i++ {
-		s.StepsPerRun.Bounds[i] = float64(int64(1) << uint(2*i))
-	}
-	for i := range m.steps {
-		s.StepsPerRun.Counts[i] = m.steps[i].Load()
-	}
+	s.LatencySeconds = loadHistogram(m.latency[:], 1, 1e6)
+	s.StepsPerRun = loadHistogram(m.steps[:], 2, 1)
 	return s
+}
+
+// loadHistogram copies a bucket-counter array into a Histogram. The last
+// counter is the overflow bucket; bound i is 2^(shift*i)/div.
+func loadHistogram(counts []atomic.Int64, shift uint, div float64) Histogram {
+	n := len(counts) - 1
+	h := Histogram{Bounds: make([]float64, n), Counts: make([]int64, n+1)}
+	for i := range counts {
+		if i < n {
+			h.Bounds[i] = float64(int64(1)<<(shift*uint(i))) / div
+		}
+		h.Counts[i] = counts[i].Load()
+	}
+	return h
 }
 
 // Merge folds o into s: counters and histogram buckets add, Totals follows
@@ -301,11 +301,7 @@ func promName(s string) string {
 // prefix), so an embedder can mount it on any HTTP mux.
 func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
-	p := func(format string, args ...any) {
-		if cw.err == nil {
-			fmt.Fprintf(cw, format, args...)
-		}
-	}
+	p := cw.printf
 	counter := func(name, help string, v int64) {
 		p("# HELP symbol_%s %s\n# TYPE symbol_%s counter\nsymbol_%s %d\n", name, help, name, name, v)
 	}
@@ -316,8 +312,10 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	p("# HELP symbol_queries_in_flight Runs currently executing.\n# TYPE symbol_queries_in_flight gauge\nsymbol_queries_in_flight %d\n", s.InFlight)
 
 	p("# HELP symbol_queries_failed_total Runs terminated by an error, by fault kind.\n# TYPE symbol_queries_failed_total counter\n")
-	for name, v := range s.Faults {
-		p("symbol_queries_failed_total{kind=%q} %d\n", promName(name), v)
+	for k := fault.Kind(0); k < fault.NumKinds; k++ {
+		if v, ok := s.Faults[k.String()]; ok {
+			p("symbol_queries_failed_total{kind=%q} %d\n", promName(k.String()), v)
+		}
 	}
 
 	counter("pool_gets_total", "Machine-state checkouts from the pool.", s.PoolGets)
@@ -336,19 +334,8 @@ func (s Snapshot) WriteTo(w io.Writer) (int64, error) {
 	counter("faults_raised_total", "Machine faults raised inside runs.", s.Totals.FaultsRaised)
 	counter("faults_caught_total", "Faults converted to catchable balls.", s.Totals.FaultsCaught)
 
-	hist := func(name, help string, h Histogram) {
-		p("# HELP symbol_%s %s\n# TYPE symbol_%s histogram\n", name, help, name)
-		var cum int64
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			p("symbol_%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-		}
-		cum += h.Counts[len(h.Bounds)]
-		p("symbol_%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		p("symbol_%s_count %d\n", name, cum)
-	}
-	hist("run_latency_seconds", "Wall-clock latency of finished runs, faulted included.", s.LatencySeconds)
-	hist("run_steps", "Executed ICIs per completed run.", s.StepsPerRun)
+	cw.histogram("symbol_run_latency_seconds", "Wall-clock latency of finished runs, faulted included.", s.LatencySeconds)
+	cw.histogram("symbol_run_steps", "Executed ICIs per completed run.", s.StepsPerRun)
 	return cw.n, cw.err
 }
 
@@ -356,6 +343,26 @@ type countWriter struct {
 	w   io.Writer
 	n   int64
 	err error
+}
+
+// printf writes formatted text unless an earlier write failed.
+func (c *countWriter) printf(format string, args ...any) {
+	if c.err == nil {
+		fmt.Fprintf(c, format, args...)
+	}
+}
+
+// histogram renders h as the cumulative Prometheus histogram name.
+func (c *countWriter) histogram(name, help string, h Histogram) {
+	c.printf("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var cum int64
+	for i, b := range h.Bounds {
+		cum += h.Counts[i]
+		c.printf("%s_bucket{le=\"%g\"} %d\n", name, b, cum)
+	}
+	cum += h.Counts[len(h.Bounds)]
+	c.printf("%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	c.printf("%s_count %d\n", name, cum)
 }
 
 func (c *countWriter) Write(p []byte) (int, error) {

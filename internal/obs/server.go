@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sync/atomic"
@@ -256,22 +255,8 @@ func (m *ServerMetrics) Snapshot() ServerSnapshot {
 	s.BatchesTotal = m.batches.Load()
 	s.BatchMembersTotal = m.batchMembers.Load()
 	s.BatchRunsTotal = m.batchRuns.Load()
-	s.BatchSize.Bounds = make([]float64, batchSizeBuckets)
-	s.BatchSize.Counts = make([]int64, batchSizeBuckets+1)
-	for i := 0; i < batchSizeBuckets; i++ {
-		s.BatchSize.Bounds[i] = float64(int64(1) << uint(i))
-	}
-	for i := range m.batchSize {
-		s.BatchSize.Counts[i] = m.batchSize[i].Load()
-	}
-	s.QueueWaitSeconds.Bounds = make([]float64, latencyBuckets)
-	s.QueueWaitSeconds.Counts = make([]int64, latencyBuckets+1)
-	for i := 0; i < latencyBuckets; i++ {
-		s.QueueWaitSeconds.Bounds[i] = float64(int64(1)<<uint(i)) / 1e6
-	}
-	for i := range m.queueWait {
-		s.QueueWaitSeconds.Counts[i] = m.queueWait[i].Load()
-	}
+	s.BatchSize = loadHistogram(m.batchSize[:], 1, 1)
+	s.QueueWaitSeconds = loadHistogram(m.queueWait[:], 1, 1e6)
 	return s
 }
 
@@ -279,11 +264,7 @@ func (m *ServerMetrics) Snapshot() ServerSnapshot {
 // under the symbolserve_ prefix.
 func (s ServerSnapshot) WriteTo(w io.Writer) (int64, error) {
 	cw := &countWriter{w: w}
-	p := func(format string, args ...any) {
-		if cw.err == nil {
-			fmt.Fprintf(cw, format, args...)
-		}
-	}
+	p := cw.printf
 	gauge := func(name, help string, v int64) {
 		p("# HELP symbolserve_%s %s\n# TYPE symbolserve_%s gauge\nsymbolserve_%s %d\n", name, help, name, name, v)
 	}
@@ -316,24 +297,8 @@ func (s ServerSnapshot) WriteTo(w io.Writer) (int64, error) {
 	counter("batches_total", "Coalesced batches executed.", s.BatchesTotal)
 	counter("batch_members_total", "Admitted requests carried by coalesced batches.", s.BatchMembersTotal)
 	counter("batch_runs_total", "Distinct engine runs executed on behalf of batches.", s.BatchRunsTotal)
-	p("# HELP symbolserve_batch_size Members per coalesced batch.\n# TYPE symbolserve_batch_size histogram\n")
-	var bcum int64
-	for i, b := range s.BatchSize.Bounds {
-		bcum += s.BatchSize.Counts[i]
-		p("symbolserve_batch_size_bucket{le=\"%g\"} %d\n", b, bcum)
-	}
-	bcum += s.BatchSize.Counts[len(s.BatchSize.Bounds)]
-	p("symbolserve_batch_size_bucket{le=\"+Inf\"} %d\n", bcum)
-	p("symbolserve_batch_size_count %d\n", bcum)
-	p("# HELP symbolserve_queue_wait_seconds Admission-queue wait of dequeued requests.\n# TYPE symbolserve_queue_wait_seconds histogram\n")
-	var cum int64
-	for i, b := range s.QueueWaitSeconds.Bounds {
-		cum += s.QueueWaitSeconds.Counts[i]
-		p("symbolserve_queue_wait_seconds_bucket{le=\"%g\"} %d\n", b, cum)
-	}
-	cum += s.QueueWaitSeconds.Counts[len(s.QueueWaitSeconds.Bounds)]
-	p("symbolserve_queue_wait_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	p("symbolserve_queue_wait_seconds_count %d\n", cum)
+	cw.histogram("symbolserve_batch_size", "Members per coalesced batch.", s.BatchSize)
+	cw.histogram("symbolserve_queue_wait_seconds", "Admission-queue wait of dequeued requests.", s.QueueWaitSeconds)
 	return cw.n, cw.err
 }
 

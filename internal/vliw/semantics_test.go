@@ -406,7 +406,7 @@ func sysCases() []semCase {
 }
 
 // fusedCases builds every superinstruction of fuse.go, including faults in
-// either constituent.
+// either constituent, and the pairs the catalog leaves out (fused 0).
 func fusedCases() []semCase {
 	var cs []semCase
 	pair := func(code exec.XCode, init []ic.Inst, a, b ic.Inst, layout ic.Layout) {
@@ -416,19 +416,14 @@ func fusedCases() []semCase {
 	for _, base := range loadBases {
 		for _, imm := range []int64{0, 1, math.MaxInt64} {
 			for _, t := range []word.Tag{word.Ref, word.Lst} {
-				c := loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrTag, A: r0, Tag: t, Target: exitTaken})
-				c.fused = exec.XFLdBrTagEq
-				cs = append(cs, c)
-				c = loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrTag, A: r0, Tag: t, Cond: ic.CondNe, Target: exitTaken})
-				c.fused = exec.XFLdBrTagNe
-				cs = append(cs, c)
+				cs = append(cs,
+					loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrTag, A: r0, Tag: t, Target: exitTaken}),
+					loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrTag, A: r0, Tag: t, Cond: ic.CondNe, Target: exitTaken}))
 			}
 			c := loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondEq, Target: exitTaken})
 			c.fused = exec.XFLdBrCmpEqR
 			cs = append(cs, c)
-			c = loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondNe, Target: exitTaken})
-			c.fused = exec.XFLdBrCmpNeR
-			cs = append(cs, c)
+			cs = append(cs, loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondNe, Target: exitTaken}))
 			c = loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.Ld, D: r2, A: rPoke, Imm: 1})
 			c.fused = exec.XFLdLd
 			cs = append(cs, c)
@@ -447,11 +442,7 @@ func fusedCases() []semCase {
 	for _, a := range aWords {
 		for _, cond := range []ic.Cond{ic.CondEq, ic.CondNe} {
 			for _, w := range []word.W{word.MakeInt(int64(a.Tag())), word.MakeInt(int64(word.Lst))} {
-				code := exec.XFGetTagBrEqI
-				if cond == ic.CondNe {
-					code = exec.XFGetTagBrNeI
-				}
-				pair(code, []ic.Inst{set(r1, a)},
+				pair(0, []ic.Inst{set(r1, a)},
 					ic.Inst{Op: ic.GetTag, D: r0, A: r1},
 					ic.Inst{Op: ic.BrCmp, A: r0, HasImm: true, Word: w, Imm: math.MinInt64, Cond: cond, Target: exitTaken},
 					ic.Layout{})
@@ -467,7 +458,7 @@ func fusedCases() []semCase {
 		pair(exec.XFMovJmp, init, ic.Inst{Op: ic.Mov, D: r0, A: r1}, ic.Inst{Op: ic.Jmp, Target: exitTaken}, ic.Layout{})
 		pair(exec.XFMovMov, init, ic.Inst{Op: ic.Mov, D: r0, A: r1}, ic.Inst{Op: ic.Mov, D: r2, A: r0}, ic.Layout{})
 		pair(exec.XFMovBrTagEq, init, ic.Inst{Op: ic.Mov, D: r0, A: r1}, ic.Inst{Op: ic.BrTag, A: r0, Tag: word.Int, Target: exitTaken}, ic.Layout{})
-		pair(exec.XFMovBrTagNe, init, ic.Inst{Op: ic.Mov, D: r0, A: r1}, ic.Inst{Op: ic.BrTag, A: r2, Tag: word.Lst, Cond: ic.CondNe, Target: exitTaken}, ic.Layout{})
+		pair(0, init, ic.Inst{Op: ic.Mov, D: r0, A: r1}, ic.Inst{Op: ic.BrTag, A: r2, Tag: word.Lst, Cond: ic.CondNe, Target: exitTaken}, ic.Layout{})
 	}
 	// Store pairs, with a store past a shrunken heap in either constituent.
 	for _, layout := range []ic.Layout{{}, small} {

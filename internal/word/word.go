@@ -72,9 +72,6 @@ func MakeRef(a uint64) W { return Make(Ref, a) }
 // Tag extracts the tag field.
 func (w W) Tag() Tag { return Tag(w >> tagShift) }
 
-// Cdr reports the cdr bit.
-func (w W) Cdr() bool { return w&cdrBit != 0 }
-
 // WithCdr returns the word with the cdr bit set.
 func (w W) WithCdr() W { return w | cdrBit }
 
@@ -104,10 +101,6 @@ func (w W) FunArity() int { return int(w.Val() & 0xffff) }
 func (w W) WithTag(t Tag) W {
 	return W(uint64(t)<<tagShift | uint64(w)&(valueMask|cdrBit))
 }
-
-// IsSelfRef reports whether the word is an unbound variable cell located at
-// address a.
-func (w W) IsSelfRef(a uint64) bool { return w.Tag() == Ref && w.Ptr() == a }
 
 // String formats the word for listings and debugging.
 func (w W) String() string {

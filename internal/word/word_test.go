@@ -60,30 +60,17 @@ func TestFunEncoding(t *testing.T) {
 	}
 }
 
-func TestSelfRef(t *testing.T) {
-	w := MakeRef(0x1234)
-	if !w.IsSelfRef(0x1234) {
-		t.Error("self reference not detected")
-	}
-	if w.IsSelfRef(0x1235) {
-		t.Error("false self reference")
-	}
-	if MakeInt(0x1234).IsSelfRef(0x1234) {
-		t.Error("int word cannot be a self reference")
-	}
-}
-
 func TestCdrBit(t *testing.T) {
 	w := Make(Lst, 7)
-	if w.Cdr() {
+	if w&cdrBit != 0 {
 		t.Error("cdr bit set unexpectedly")
 	}
 	wc := w.WithCdr()
-	if !wc.Cdr() || wc.Tag() != Lst || wc.Val() != 7 {
+	if wc != w|cdrBit || wc.Tag() != Lst || wc.Val() != 7 {
 		t.Error("WithCdr must set only the cdr bit")
 	}
 	// WithTag preserves the cdr bit (§5.2: independently addressable fields).
-	if !wc.WithTag(Str).Cdr() {
+	if wc.WithTag(Str)&cdrBit == 0 {
 		t.Error("WithTag must preserve the cdr bit")
 	}
 }
