@@ -43,8 +43,8 @@ func runMode(t *testing.T, prog *Program, base emu.Options, mode func(*emu.Optio
 // TestFusionDifferentialBenchmarks runs every benchmark in all three modes
 // and requires identical observable results: fusion must not shift a single
 // step out of original-ICI units. Every program's fused stream must also be
-// allocated at exactly its final size, and shrink the code by one op per
-// superinstruction.
+// allocated at exactly its final size, and shrink the code by Width-1 ops
+// per superinstruction.
 func TestFusionDifferentialBenchmarks(t *testing.T) {
 	for _, b := range benchprog.All() {
 		b := b
@@ -55,12 +55,9 @@ func TestFusionDifferentialBenchmarks(t *testing.T) {
 			if ops := xp.Fused.Ops; cap(ops) != len(ops) {
 				t.Errorf("fused stream has len %d but cap %d", len(ops), cap(ops))
 			}
-			pairs := 0
-			for _, n := range xp.Stats.Pairs {
-				pairs += n
-			}
-			if xp.Stats.PlainOps-xp.Stats.FusedOps != pairs {
-				t.Errorf("PlainOps %d - FusedOps %d != %d pairs", xp.Stats.PlainOps, xp.Stats.FusedOps, pairs)
+			if saved := fusedSavings(xp); xp.Stats.PlainOps-xp.Stats.FusedOps != saved {
+				t.Errorf("PlainOps %d - FusedOps %d != %d, the sum of Width-1 over fused ops",
+					xp.Stats.PlainOps, xp.Stats.FusedOps, saved)
 			}
 			if b.Heavy && testing.Short() {
 				t.Skip("heavy benchmark (short mode)")
@@ -86,10 +83,22 @@ func TestFusionDifferentialBenchmarks(t *testing.T) {
 	}
 }
 
+// fusedSavings is the sum of Width-1 over the fused stream's
+// superinstructions: the ops fusion saved.
+func fusedSavings(xp *exec.Program) int {
+	saved := 0
+	for i := range xp.Fused.Ops {
+		if op := &xp.Fused.Ops[i]; op.Code.Fused() {
+			saved += int(op.Width) - 1
+		}
+	}
+	return saved
+}
+
 // TestFusionStatic sanity-checks the fusion pass over the compiled
-// benchmarks: superinstructions must actually form on BAM-shaped code, and
-// the stream must shrink accordingly (FusedOps + fused pair count ==
-// PlainOps, since every pair replaces exactly two plain ops).
+// benchmarks: superinstructions must actually form on BAM-shaped code, the
+// per-code counts must match the stream, and the stream must shrink
+// accordingly (FusedOps + the sum of Width-1 over fused ops == PlainOps).
 func TestFusionStatic(t *testing.T) {
 	b, err := benchprog.Get("queens_8")
 	if err != nil {
@@ -97,23 +106,33 @@ func TestFusionStatic(t *testing.T) {
 	}
 	prog := mustLoad(t, b.Source)
 	xp := exec.Of(prog.icp)
-	pairs := 0
-	for _, n := range xp.Stats.Pairs {
-		pairs += n
-	}
-	if pairs == 0 {
-		t.Fatal("fusion pass formed no superinstructions on queens_8")
-	}
-	if xp.Stats.FusedOps+pairs != xp.Stats.PlainOps {
-		t.Fatalf("stream accounting: %d fused ops + %d pairs != %d plain ops",
-			xp.Stats.FusedOps, pairs, xp.Stats.PlainOps)
-	}
-	// Every fused op must carry Width 2 and sit on a non-jump-target pc+1.
+	var supers [exec.NumCodes]int
 	for i := range xp.Fused.Ops {
 		op := &xp.Fused.Ops[i]
-		if op.Code.Fused() && op.Width != 2 {
-			t.Fatalf("fused op %s at pc %d has width %d", op.Code, op.PC, op.Width)
+		if !op.Code.Fused() {
+			continue
 		}
+		supers[op.Code]++
+		want := uint8(2)
+		switch op.Code {
+		case exec.XFDeref:
+			want = 5
+		case exec.XFMovDeref:
+			want = 6
+		}
+		if op.Width != want {
+			t.Fatalf("fused op %s at pc %d has width %d, want %d", op.Code, op.PC, op.Width, want)
+		}
+	}
+	if supers != xp.Stats.Supers {
+		t.Fatalf("stream superinstruction counts %v != Stats.Supers %v", supers, xp.Stats.Supers)
+	}
+	if supers[exec.XFStSt] == 0 || supers[exec.XFDeref]+supers[exec.XFMovDeref] == 0 {
+		t.Fatal("fusion pass formed no store pairs or dereference ops on queens_8")
+	}
+	if saved := fusedSavings(xp); xp.Stats.FusedOps+saved != xp.Stats.PlainOps {
+		t.Fatalf("stream accounting: %d fused ops + %d saved != %d plain ops",
+			xp.Stats.FusedOps, saved, xp.Stats.PlainOps)
 	}
 }
 
@@ -193,15 +212,16 @@ func TestFusionFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestFusionCancellation pins the hoisted poll's two guarantees. First, a
-// run that is cancelled (or past its deadline) before it starts must abort
-// at step 0 in every mode — the predecoded loop polls once on entry
-// precisely so batch drivers can rely on pre-cancelled queries never
-// touching machine state. Second, cancelling a run mid-flight must abort it
-// promptly: the back-edge countdown polls at least once every
-// fault.CheckInterval backward transfers, so an interrupt is honoured after
-// a bounded amount of further work rather than at the next convenient
-// Halt.
+// TestFusionCancellation pins the hoisted poll's guarantees. First, a run
+// that is cancelled (or past its deadline) before it starts must abort at
+// step 0 in every mode — the predecoded loop polls once on entry precisely
+// so batch drivers can rely on pre-cancelled queries never touching machine
+// state. Second, cancelling a run mid-flight must abort it promptly: the
+// fuel countdown polls every fault.CheckInterval steps, so an interrupt is
+// honoured after a bounded amount of further work rather than at the next
+// convenient Halt. Third, that holds inside one long op: a program that
+// spends its time dereferencing a long Ref chain, each chase one fused op
+// of many thousand steps, stops in the body of the dereference loop.
 func TestFusionCancellation(t *testing.T) {
 	b, err := benchprog.Get("queens_8")
 	if err != nil {
@@ -246,4 +266,64 @@ func TestFusionCancellation(t *testing.T) {
 			t.Fatalf("%s: run ignored cancellation", m.name)
 		}
 	}
+
+	chain := mustLoad(t, refChain)
+	xp := exec.Of(chain.icp)
+	// inChase reports whether pc is in the body of a fused dereference
+	// loop: past its head, which the op's dispatch may poll at.
+	inChase := func(pc int) bool {
+		for _, op := range xp.Fused.Ops {
+			if op.Code == exec.XFDeref || op.Code == exec.XFMovDeref {
+				if end := int(op.PC) + int(op.Width); pc > end-5 && pc < end {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for _, m := range emuModes {
+		// Building the chain takes a few hundred thousand steps, so the
+		// cancel waits longer on each try. A try that stops in the build, or
+		// on the loop head (a fifth of the chase's steps), is not counted.
+		var e *emu.Error
+		for wait := 20 * time.Millisecond; wait < 2*time.Second; wait *= 2 {
+			ch := make(chan struct{})
+			done := make(chan error, 1)
+			go func(set func(*emu.Options)) {
+				_, err := runMode(t, chain, emu.Options{Interrupt: ch}, set)
+				done <- err
+			}(m.set)
+			time.Sleep(wait)
+			close(ch)
+			select {
+			case err := <-done:
+				if !errors.Is(err, fault.ErrCanceled) || !errors.As(err, &e) {
+					t.Fatalf("%s: cancel in a dereference chase: got %v", m.name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: run ignored cancellation in a dereference chase", m.name)
+			}
+			if inChase(e.PC) {
+				break
+			}
+		}
+		if !inChase(e.PC) {
+			t.Fatalf("%s: cancelled chase stopped at pc %d, outside every dereference loop body", m.name, e.PC)
+		}
+	}
 }
+
+// refChain binds 5 000 fresh variables into one Ref chain (each link is
+// bound on the way back out of the recursion, so every binding lands on a
+// variable still unbound), then tests the far end with var/1 forever:
+// every test dereferences the whole chain, 25 000 steps in one fused op.
+const refChain = `
+vars(0, []).
+vars(N, [_|T]) :- N > 0, M is N - 1, vars(M, T).
+link([_]).
+link([A,B|T]) :- link([B|T]), A = B.
+lastcell([X], [X]).
+lastcell([_,Y|T], C) :- lastcell([Y|T], C).
+spin(C) :- C = [X], var(X), spin(C).
+main :- vars(5000, L), link(L), lastcell(L, C), spin(C).
+`

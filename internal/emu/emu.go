@@ -152,6 +152,7 @@ type Machine struct {
 	running    bool // inside a segment right now (selects the Wall formula)
 	stepsDone  int64
 	wallAcc    time.Duration
+	fuelEnd    int64 // runFast: the step count its fuel countdown runs out at
 }
 
 // Machine run phases.

@@ -18,22 +18,24 @@ import (
 //     opcode, and RegionUnknown stores carry an unreachable limit);
 //   - no per-step Profile/Events tests (both select the legacy reference
 //     interpreter, which carries every kind of instrumentation);
-//   - no per-step deadline/interrupt poll: one poll on entry (so a
-//     pre-expired deadline or pre-cancelled run still aborts at step 0,
-//     which the differential fault tests rely on), then a countdown
-//     decremented only on backward control transfers, polling every
-//     fault.CheckInterval back-edges. Straight-line code pays nothing, and
-//     since every cycle in the code contains a back-edge, cancellation
-//     latency is bounded by CheckInterval loop iterations.
+//   - one test per step for both the step budget and the deadline and
+//     cancellation poll: a fuel countdown that runs out at MaxSteps or at
+//     the next multiple of fault.CheckInterval steps, whichever comes
+//     first. refuel, off the hot path, faults at the budget and otherwise
+//     polls, so the loop polls at the steps the legacy loop polls at, plus
+//     once on entry (so a pre-expired deadline or pre-cancelled run still
+//     aborts at step 0, which the differential fault tests rely on).
+//     Cancellation latency is bounded by CheckInterval steps, inside a
+//     long dereference chase too.
 //
-// Superinstructions execute their constituents in original order with
-// per-constituent step-budget accounting, so Result.Steps, the StepLimit
-// fault point and the fault pcs are identical to the legacy interpreter's,
-// in original-ICI units. The one documented divergence: a computed jump
-// (JmpR) into the interior of a fused pair reports "pc out of range"
-// instead of executing from mid-pair — no code path in the runtime model
-// materializes such an address (every indirect target is a marked jump
-// target, which fusion never buries).
+// Superinstructions execute their constituents in original order and take
+// fuel per constituent, so Result.Steps, the StepLimit fault point and the
+// fault pcs are identical to the legacy interpreter's, in original-ICI
+// units. The one documented divergence: a computed jump (JmpR) into the
+// interior of a superinstruction reports "pc out of range" instead of
+// executing from mid-op — no code path in the runtime model materializes
+// such an address (every indirect target is a marked jump target, which
+// fusion never buries).
 
 func (m *Machine) loadErr(addr uint64) error {
 	e := m.fail(fmt.Sprintf("load out of range: %#x", addr))
@@ -57,6 +59,28 @@ func (m *Machine) pollCheck(pc int) error {
 	return nil
 }
 
+// fill starts a fuel countdown after m.fuelEnd steps: it moves fuelEnd to
+// the next multiple of fault.CheckInterval, or to MaxSteps if that comes
+// first, and returns the steps until then.
+func (m *Machine) fill() int64 {
+	steps := m.fuelEnd
+	m.fuelEnd = max(steps, min(m.opts.MaxSteps, steps&^(fault.CheckInterval-1)+fault.CheckInterval))
+	return m.fuelEnd - steps
+}
+
+// refuel runs when runFast's fuel is out before the step at pc: at the
+// step limit it faults, otherwise it polls and refills.
+func (m *Machine) refuel(pc int32) (int64, error) {
+	if m.fuelEnd >= m.opts.MaxSteps {
+		m.pc = int(pc)
+		return 0, m.faultErr(fault.StepLimit)
+	}
+	if err := m.pollCheck(int(pc)); err != nil {
+		return 0, err
+	}
+	return m.fill(), nil
+}
+
 // runFast is the unprofiled predecoded interpreter loop. x0 is the stream
 // index to enter at: s.Entry for a fresh run, s.Fail to resume a suspended
 // machine by backtracking.
@@ -67,22 +91,25 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 	ops := s.Ops
 	mem := m.rt.Mem
 	regs := m.regs
-	max := m.opts.MaxSteps
-	poll := m.rt.PollEvery()
 	// disp is the whole per-run instrumentation cost when tracing is off:
 	// one bounds-check-free increment per dispatch (the array is 256 wide
 	// and the opcode is a uint8). Classes, choice points and trail undos
 	// are all expanded from it after the run (see exec.Runtime.MixStats).
 	disp := &m.ctr.mix.Disp
-	steps := m.stepsDone
+	// fuel is the steps left before refuel must run; m.fuelEnd - fuel steps
+	// are done.
+	m.fuelEnd = m.stepsDone
+	fuel := m.fill()
+	var err error
 	x := x0
 	for {
 		op := &ops[x]
-		if steps >= max {
-			m.pc = int(op.PC)
-			return nil, m.faultErr(fault.StepLimit)
+		if fuel == 0 {
+			if fuel, err = m.refuel(op.PC); err != nil {
+				return nil, err
+			}
 		}
-		steps++
+		fuel--
 		disp[op.Code]++
 		next := x + 1
 		switch op.Code {
@@ -210,6 +237,7 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				m.pc = int(op.PC)
 				return nil, m.uncaught()
 			}
+			steps := m.fuelEnd - fuel
 			m.stepsDone = steps
 			return &Result{Status: int(op.Imm), Output: m.rt.Out.String(), Steps: steps,
 				Stats: m.stats(steps)}, nil
@@ -247,22 +275,67 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			return nil, m.fail("unknown sys op")
 
 		// Superinstructions: constituents execute in original order with
-		// per-constituent step accounting, so Steps and the StepLimit fault
-		// point match the legacy interpreter exactly.
-		case exec.XFLdBrCmpEqR:
-			addr := regs[op.A].Val() + uint64(op.Imm)
-			if addr >= uint64(len(mem)) {
-				m.pc = int(op.PC)
-				return nil, m.loadErr(addr)
+		// per-constituent fuel, so Steps and the StepLimit fault point
+		// match the legacy interpreter exactly.
+		case exec.XFMovDeref:
+			regs[op.D] = regs[op.A]
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
-			}
-			steps++
-			if regs[op.D2] == regs[op.A2] {
-				next = int(op.Target)
+			fuel--
+			fallthrough
+		case exec.XFDeref:
+			// The head's tag test has had its fuel. Each turn of the chase
+			// takes fuel for the load, the self-reference test, the advance,
+			// the back edge and the next tag test.
+			h := op.PC + int32(op.Width) - 5
+			for d := regs[op.D]; d.Tag() == op.Tag; {
+				if fuel == 0 {
+					if fuel, err = m.refuel(h + 1); err != nil {
+						return nil, err
+					}
+				}
+				fuel--
+				addr := d.Val() + uint64(op.Imm)
+				if addr >= uint64(len(mem)) {
+					m.pc = int(h) + 1
+					return nil, m.loadErr(addr)
+				}
+				t := mem[addr]
+				regs[op.D2] = t
+				m.ctr.mix.DerefLoads++
+				if fuel == 0 {
+					if fuel, err = m.refuel(h + 2); err != nil {
+						return nil, err
+					}
+				}
+				fuel--
+				if t == d {
+					break
+				}
+				if fuel == 0 {
+					if fuel, err = m.refuel(h + 3); err != nil {
+						return nil, err
+					}
+				}
+				fuel--
+				regs[op.D] = t
+				d = t
+				m.ctr.mix.DerefChases++
+				if fuel == 0 {
+					if fuel, err = m.refuel(h + 4); err != nil {
+						return nil, err
+					}
+				}
+				fuel--
+				if fuel == 0 {
+					if fuel, err = m.refuel(h); err != nil {
+						return nil, err
+					}
+				}
+				fuel--
 			}
 		case exec.XFStAdd:
 			addr := regs[op.A].Val() + uint64(op.Imm)
@@ -285,30 +358,33 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			}
 			mem[addr] = regs[op.B]
 			m.rt.St.Touch(addr)
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			d := regs[op.D2]
 			regs[op.D2] = word.Make(d.Tag(), uint64(d.Int()+op.Imm2))
 		case exec.XFMovJmp:
 			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			next = int(op.Target)
 		case exec.XFCMovR:
 			// Branch taken skips the move and consumes one step; not taken
 			// executes the move as the second constituent.
 			if !exec.CmpW(regs[op.A], regs[op.B], op.Cond) {
-				if steps >= max {
-					m.pc = int(op.PC) + 1
-					return nil, m.faultErr(fault.StepLimit)
+				if fuel == 0 {
+					if fuel, err = m.refuel(op.PC + 1); err != nil {
+						return nil, err
+					}
 				}
-				steps++
+				fuel--
 				m.ctr.mix.CMovMoves++
 				regs[op.D2] = regs[op.A2]
 			}
@@ -319,11 +395,12 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.loadErr(addr)
 			}
 			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			addr = regs[op.A2].Val() + uint64(op.Imm2)
 			if addr >= uint64(len(mem)) {
 				m.pc = int(op.PC) + 1
@@ -337,11 +414,12 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 				return nil, m.loadErr(addr)
 			}
 			regs[op.D] = mem[addr]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			regs[op.D2] = regs[op.A2]
 		case exec.XFStSt:
 			addr := regs[op.A].Val() + uint64(op.Imm)
@@ -363,11 +441,12 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			}
 			mem[addr] = regs[op.B]
 			m.rt.St.Touch(addr)
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			addr = regs[op.A2].Val() + uint64(op.Imm2)
 			if addr >= m.rt.Limit[op.Region2] {
 				m.pc = int(op.PC) + 1
@@ -406,19 +485,21 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			}
 			mem[addr] = regs[op.B]
 			m.rt.St.Touch(addr)
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			regs[op.D2] = op.W
 		case exec.XFMovISt:
 			regs[op.D] = op.W
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			addr := regs[op.A2].Val() + uint64(op.Imm2)
 			if addr >= m.rt.Limit[op.Region2] {
 				m.pc = int(op.PC) + 1
@@ -439,19 +520,21 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 			m.rt.St.Touch(addr)
 		case exec.XFMovMov:
 			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			regs[op.D2] = regs[op.A2]
 		case exec.XFMovBrTagEq:
 			regs[op.D] = regs[op.A]
-			if steps >= max {
-				m.pc = int(op.PC) + 1
-				return nil, m.faultErr(fault.StepLimit)
+			if fuel == 0 {
+				if fuel, err = m.refuel(op.PC + 1); err != nil {
+					return nil, err
+				}
 			}
-			steps++
+			fuel--
 			if regs[op.D2].Tag() == op.Tag {
 				next = int(op.Target)
 			}
@@ -461,15 +544,6 @@ func (m *Machine) runFast(s *exec.Stream, x0 int) (*Result, error) {
 		default: // exec.XUnknown
 			m.pc = int(op.PC)
 			return nil, m.fail("unknown opcode")
-		}
-		if next <= x {
-			poll--
-			if poll <= 0 {
-				poll = m.rt.PollEvery()
-				if err := m.pollCheck(int(op.PC)); err != nil {
-					return nil, err
-				}
-			}
 		}
 		x = next
 	}

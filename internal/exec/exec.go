@@ -9,11 +9,12 @@
 // store-site region limits are reduced to a single table-indexed compare.
 //
 // On top of the predecoded stream, a peephole pass fuses the hottest
-// BAM-shaped instruction pairs into superinstructions (see fuse.go). Fused
-// ops carry the static ICI width of their constituents, so executors keep
-// reporting Steps, Expect/Taken and the paper's §3.1/§4 dynamic statistics
-// in original-ICI units: fusion changes dispatch counts, never the
-// architecture-level numbers.
+// BAM-shaped instruction pairs, and the whole dereference loop, into
+// superinstructions (see fuse.go). Fused ops carry the static ICI width of
+// their constituents and the executors account each constituent they run,
+// so Steps and the paper's §3.1/§4 dynamic statistics stay in original-ICI
+// units: fusion changes dispatch counts, never the architecture-level
+// numbers.
 //
 // Predecoding is per-Program, lazy, and cached under a sync.Once (via
 // ic.Program.ExecCache), so a pooled engine answering many queries pays for
@@ -99,13 +100,27 @@ const (
 	XSysFault
 	XSysBad // unknown SysID (matches the legacy "unknown sys op" error)
 
-	// Superinstructions. Each fuses two ICIs; Width is 2 and the executor
-	// accounts both constituents (pcs PC and PC+1) in steps, budgets and
-	// faults. Second-constituent operands live in D2/A2/Imm2.
-	XFLdBrCmpEqR // D = mem[A+Imm]; if regs[D2] == regs[A2] goto Target
-	XFStAdd      // mem[A+Imm] = B (region-checked); D2 = D2 + Imm2
-	XFMovJmp     // D = A; goto Target
-	XFCMovR      // if cmp(regs[A], regs[B], Cond) skip, else D2 = regs[A2]
+	// Superinstructions. The executor accounts each constituent (pcs PC
+	// through PC+Width-1) in steps, budgets and faults.
+	//
+	// The dereference loop (bam.Deref) is one op of Width 5, or 6 with the
+	// Mov that loads its chase register. With d = D and t = D2:
+	//
+	//	      Mov d, A           (XFMovDeref only)
+	//	top:  BrTag.ne d, Tag → out
+	//	      Ld t, [d+Imm]
+	//	      BrCmp.eq t, d → out
+	//	      Mov d, t
+	//	      Jmp top
+	//	out:  (the next op)
+	XFDeref
+	XFMovDeref
+
+	// The pairs: Width is 2, and second-constituent operands live in
+	// D2/A2/Imm2.
+	XFStAdd  // mem[A+Imm] = B (region-checked); D2 = D2 + Imm2
+	XFMovJmp // D = A; goto Target
+	XFCMovR  // if cmp(regs[A], regs[B], Cond) skip, else D2 = regs[A2]
 
 	// Memory-shaped pairs: choice-point pushes and restores are runs of
 	// adjacent stores/loads, and argument setup is runs of moves, so these
@@ -139,7 +154,7 @@ var codeNames = [NumCodes]string{
 	"jmp", "jmpr", "jsr", "halt",
 	"sys.write", "sys.nl", "sys.write_code", "sys.compare", "sys.ball_put",
 	"sys.fault", "sys.bad",
-	"f.ld+brcmp.eq", "f.st+add", "f.mov+jmp", "f.cmov",
+	"f.deref", "f.mov+deref", "f.st+add", "f.mov+jmp", "f.cmov",
 	"f.ld+ld", "f.ld+mov", "f.st+st", "f.st+movi", "f.movi+st", "f.mov+mov",
 	"f.mov+brtag.eq",
 	"mov.cp", "ld.undo",
@@ -153,7 +168,7 @@ func (c XCode) String() string {
 }
 
 // Fused reports whether the opcode is a superinstruction.
-func (c XCode) Fused() bool { return c >= XFLdBrCmpEqR && c <= XFMovBrTagEq }
+func (c XCode) Fused() bool { return c >= XFDeref && c <= XFMovBrTagEq }
 
 // ClassOf maps each opcode to the paper's operation class of its (first)
 // constituent ICI, mirroring ic.Inst.Class. Class2Of gives the second
@@ -194,7 +209,10 @@ func init() {
 		one(c, ic.ClassSys)
 	}
 
-	two(XFLdBrCmpEqR, ic.ClassMemory, ic.ClassControl)
+	// A dereference dispatch counts its head BrTag (and the Mov before
+	// it); Mix counts the loads and chases of the loop body.
+	one(XFDeref, ic.ClassControl)
+	two(XFMovDeref, ic.ClassMove, ic.ClassControl)
 	two(XFStAdd, ic.ClassMemory, ic.ClassALU)
 	two(XFMovJmp, ic.ClassMove, ic.ClassControl)
 	two(XFCMovR, ic.ClassControl, ic.ClassMove)
@@ -213,7 +231,7 @@ func hasTarget(c XCode) bool {
 	switch c {
 	case XBrTagEq, XBrTagNe, XBrCmpEqR, XBrCmpNeR, XBrCmpEqI, XBrCmpNeI,
 		XBrCmpOrdR, XBrCmpOrdI, XJmp, XJsr,
-		XFLdBrCmpEqR, XFMovJmp, XFMovBrTagEq:
+		XFMovJmp, XFMovBrTagEq:
 		return true
 	}
 	return false
@@ -224,7 +242,7 @@ func hasTarget(c XCode) bool {
 // used for return-address generation and error context.
 type Op struct {
 	Code    XCode
-	Width   uint8 // static ICI count: 1, or 2 for superinstructions
+	Width   uint8 // static ICI count: 1; 2 for a pair; 5 or 6 for a dereference
 	Tag     word.Tag
 	Region  ic.Region
 	Region2 ic.Region // second store's region in store-pair superinstructions
@@ -250,10 +268,11 @@ type Stream struct {
 	// the per-iteration pc bounds test.
 	Ops []Op
 	// XOf maps an original pc to its stream index, or -1 when the pc was
-	// fused into the interior of a superinstruction. Interior pcs are never
-	// jump targets (the fusion pass refuses to consume them), so -1 is
-	// reachable only through arithmetic on code addresses, which nothing in
-	// the runtime model does.
+	// fused into the interior of a superinstruction. No branch outside a
+	// superinstruction targets its interior (the fusion pass refuses to
+	// consume such a pc; a dereference loop's back edge is the op's own), so
+	// -1 is reachable only through arithmetic on code addresses, which
+	// nothing in the runtime model does.
 	XOf []int32
 	// Entry and Throw are the stream indices of the program entry and of
 	// the $throwunwind routine (Throw = -1 for programs without it).
@@ -317,7 +336,7 @@ func (xp *Program) Plain() *Stream {
 type Stats struct {
 	PlainOps int           // ICIs in the program
 	FusedOps int           // ops in the fused stream (excluding the traps)
-	Pairs    [NumCodes]int // static superinstruction counts by opcode
+	Supers   [NumCodes]int // static superinstruction counts by opcode
 }
 
 // Of returns the cached predecoded image of p, building it on first use.
@@ -523,19 +542,21 @@ func CmpW(a, b word.W, c ic.Cond) bool {
 	}
 }
 
-// jumpTargets computes every pc that control can enter other than by
-// falling through from its predecessor: static branch targets, procedure
-// entries and other indirect-control pcs recorded in Entries, return points
-// after Jsr, and any code address materialized by MovI (retry addresses
-// stored into choice points). The fusion pass never consumes such a pc as
-// the second constituent of a superinstruction, which is what keeps every
-// reachable jump target addressable in the fused stream.
-func jumpTargets(p *ic.Program) []bool {
+// referrers counts, for every pc, the ways control can enter it other than
+// by falling through from its predecessor: static branch targets,
+// procedure entries and other indirect-control pcs recorded in Entries,
+// return points after Jsr, and any code address materialized by MovI
+// (retry addresses stored into choice points). Counts saturate at 255. The
+// fusion pass never consumes a referred pc as a superinstruction's
+// interior, which is what keeps every reachable jump target addressable in
+// the fused stream; the one exception is a dereference loop head whose
+// only referrer is the loop's own back edge (see fuseDeref).
+func referrers(p *ic.Program) []uint8 {
 	n := len(p.Code)
-	t := make([]bool, n)
+	r := make([]uint8, n)
 	mark := func(pc int) {
-		if pc >= 0 && pc < n {
-			t[pc] = true
+		if pc >= 0 && pc < n && r[pc] < 255 {
+			r[pc]++
 		}
 	}
 	mark(p.Entry)
@@ -558,7 +579,7 @@ func jumpTargets(p *ic.Program) []bool {
 			}
 		}
 	}
-	return t
+	return r
 }
 
 // branches reports whether ICIs of opcode op carry a static Target: the
@@ -595,8 +616,8 @@ func finish(s *Stream, p *ic.Program) {
 		}
 		x := s.XOf[t]
 		if x < 0 {
-			// Unreachable by construction: jumpTargets marked every static
-			// target and the fusion pass refuses to bury marked pcs.
+			// Unreachable by construction: referrers counted every static
+			// target and the fusion pass refuses to bury referred pcs.
 			panic("exec: branch into superinstruction interior")
 		}
 		s.Ops[i].Target = x
@@ -618,29 +639,30 @@ func finish(s *Stream, p *ic.Program) {
 //
 // It makes two passes so the fused stream is allocated once at its final
 // size: every loaded program keeps it resident. The first pass picks the
-// pairs, filling XOf, and counts the ops and the traps finish appends; the
-// second decodes.
+// superinstructions, filling XOf, and counts the ops and the traps finish
+// appends; the second decodes.
 func Predecode(p *ic.Program) *Program {
 	n := len(p.Code)
 	xp := &Program{Stats: Stats{PlainOps: n}, src: p}
 	fused := &xp.Fused
 
-	targets := jumpTargets(p)
+	refs := referrers(p)
 	fused.XOf = make([]int32, n)
 	ops, traps := 0, 1 // the fall-off-the-end trap
+	var fop Op
 	for pc := 0; pc < n; {
 		fused.XOf[pc] = int32(ops)
 		ops++
-		if pc+1 < n && !targets[pc+1] {
-			if fop, ok := fusePair(&p.Code[pc], &p.Code[pc+1], pc); ok {
-				fused.XOf[pc+1] = -1
-				xp.Stats.Pairs[fop.Code]++
-				if hasTarget(fop.Code) && outside(fop.Target, n) {
-					traps++
-				}
-				pc += 2
-				continue
+		if fuse(p.Code, pc, refs, &fop) {
+			for i := 1; i < int(fop.Width); i++ {
+				fused.XOf[pc+i] = -1
 			}
+			xp.Stats.Supers[fop.Code]++
+			if hasTarget(fop.Code) && outside(fop.Target, n) {
+				traps++
+			}
+			pc += int(fop.Width)
+			continue
 		}
 		if in := &p.Code[pc]; branches(in.Op) && outside(int32(in.Target), n) {
 			traps++
@@ -650,14 +672,16 @@ func Predecode(p *ic.Program) *Program {
 	xp.Stats.FusedOps = ops
 
 	fused.Ops = make([]Op, 0, ops+traps)
-	for pc := 0; pc < n; pc++ {
+	for pc := 0; pc < n; {
 		if pc+1 < n && fused.XOf[pc+1] < 0 {
-			fop, _ := fusePair(&p.Code[pc], &p.Code[pc+1], pc)
-			fused.Ops = append(fused.Ops, fop)
-			pc++
+			fused.Ops = fused.Ops[:len(fused.Ops)+1]
+			fop := &fused.Ops[len(fused.Ops)-1]
+			fuse(p.Code, pc, refs, fop)
+			pc += int(fop.Width)
 			continue
 		}
 		fused.Ops = append(fused.Ops, Decode1(&p.Code[pc], pc))
+		pc++
 	}
 	finish(fused, p)
 	return xp

@@ -75,7 +75,7 @@ func TestFusionCatalog(t *testing.T) {
 		{"ld+brtag.ne", ic.Inst{Op: ic.Ld, D: t0, A: t1},
 			ic.Inst{Op: ic.BrTag, A: t0, Cond: ic.CondNe, Tag: word.Ref, Target: 3}, 0},
 		{"ld+brcmp.eq.r", ic.Inst{Op: ic.Ld, D: t0, A: t1},
-			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondEq, B: t1, Target: 3}, XFLdBrCmpEqR},
+			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondEq, B: t1, Target: 3}, 0},
 		{"ld+brcmp.ne.r", ic.Inst{Op: ic.Ld, D: t0, A: t1},
 			ic.Inst{Op: ic.BrCmp, A: t0, Cond: ic.CondNe, B: t1, Target: 3}, 0},
 		{"gettag+br.eq.i", ic.Inst{Op: ic.GetTag, D: t0, A: t1},
@@ -136,8 +136,8 @@ func TestFusionCatalog(t *testing.T) {
 			if xp.Fused.XOf[2] != -1 {
 				t.Fatalf("interior pc 2 has XOf %d, want -1", xp.Fused.XOf[2])
 			}
-			if got := xp.Stats.Pairs[c.want]; got != 1 {
-				t.Fatalf("Stats.Pairs[%s] = %d, want 1", c.want, got)
+			if got := xp.Stats.Supers[c.want]; got != 1 {
+				t.Fatalf("Stats.Supers[%s] = %d, want 1", c.want, got)
 			}
 			if xp.Stats.FusedOps != xp.Stats.PlainOps-1 {
 				t.Fatalf("FusedOps = %d, want PlainOps-1 = %d",
@@ -201,6 +201,77 @@ func TestFusionBlockedByIndirectTargets(t *testing.T) {
 	}
 }
 
+// derefLoop is expand's dereference loop (bam.Deref) on t0 with temp t1,
+// behind Mov t0, t2, laid out from pc 1: the Mov at 1, the loop head at 2,
+// the exit at 7. extra ICIs follow the exit.
+func derefLoop(extra ...ic.Inst) []ic.Inst {
+	return append([]ic.Inst{
+		{Op: ic.Nop},
+		{Op: ic.Mov, D: t0, A: t2},
+		{Op: ic.BrTag, A: t0, Cond: ic.CondNe, Tag: word.Ref, Target: 7},
+		{Op: ic.Ld, D: t1, A: t0, Reg: ic.RegionHeap},
+		{Op: ic.BrCmp, A: t1, Cond: ic.CondEq, B: t0, Target: 7},
+		{Op: ic.Mov, D: t0, A: t1},
+		{Op: ic.Jmp, Target: 2},
+		{Op: ic.Halt},
+	}, extra...)
+}
+
+// TestFuseDeref: the dereference loop is one op, with the Mov before it
+// when the loop's own Jmp is the only way into its head; the Mov stays
+// separate when something else refers to the head, and the loop stays
+// unfused when anything refers to a pc inside it.
+func TestFuseDeref(t *testing.T) {
+	xp := Predecode(mkProg(derefLoop()))
+	op := xp.Fused.Ops[xp.Fused.XOf[1]]
+	want := Op{Code: XFMovDeref, Width: 6, PC: 1, D: t0, A: t2, D2: t1, Tag: word.Ref}
+	if op != want {
+		t.Fatalf("mov+deref decoded to %+v, want %+v", op, want)
+	}
+	for pc := 2; pc <= 6; pc++ {
+		if xp.Fused.XOf[pc] != -1 {
+			t.Fatalf("interior pc %d has XOf %d, want -1", pc, xp.Fused.XOf[pc])
+		}
+	}
+	if xp.Fused.XOf[7] != xp.Fused.XOf[1]+1 || xp.Stats.Supers[XFMovDeref] != 1 ||
+		xp.Stats.FusedOps != xp.Stats.PlainOps-5 {
+		t.Fatalf("exit XOf %d, Supers %d, %d of %d ops", xp.Fused.XOf[7],
+			xp.Stats.Supers[XFMovDeref], xp.Stats.FusedOps, xp.Stats.PlainOps)
+	}
+
+	// A second referrer of the head (a branch, a MovI of its address or
+	// a procedure entry) keeps the Mov out: the loop fuses on its own.
+	for name, extra := range map[string]ic.Inst{
+		"branch": {Op: ic.Jmp, Target: 2},
+		"movi":   {Op: ic.MovI, D: t2, Word: word.Make(word.Code, 2)},
+	} {
+		xp := Predecode(mkProg(derefLoop(extra)))
+		mov, loop := xp.Fused.Ops[xp.Fused.XOf[1]], xp.Fused.Ops[xp.Fused.XOf[2]]
+		if mov.Code != XMov || loop.Code != XFDeref || loop.Width != 5 || loop.PC != 2 {
+			t.Fatalf("%s: head referred twice decoded to %s, %s (width %d, pc %d), want mov, f.deref",
+				name, mov.Code, loop.Code, loop.Width, loop.PC)
+		}
+	}
+	p := mkProg(derefLoop())
+	p.Entries[2] = true
+	if op := Predecode(p).Fused.Ops[1].Code; op != XMov {
+		t.Fatalf("head as an entry: pc 1 decoded to %s, want mov", op)
+	}
+
+	// Any referrer inside the loop leaves it to single ops and pairs.
+	for pc := 3; pc <= 6; pc++ {
+		xp := Predecode(mkProg(derefLoop(ic.Inst{Op: ic.Jmp, Target: pc})))
+		for _, op := range xp.Fused.Ops {
+			if op.Code == XFDeref || op.Code == XFMovDeref {
+				t.Fatalf("referrer of pc %d: pc %d decoded to %s", pc, op.PC, op.Code)
+			}
+		}
+		if xp.Fused.XOf[pc] < 0 {
+			t.Fatalf("referred pc %d lost its stream index", pc)
+		}
+	}
+}
+
 // TestTrapTargets: a statically out-of-range branch target must resolve to
 // a trap op carrying the original invalid pc, and Lookup of out-of-range
 // pcs must land on the fall-off trap. Predecode sizes the fused stream
@@ -210,16 +281,16 @@ func TestTrapTargets(t *testing.T) {
 	p := mkProg([]ic.Inst{
 		{Op: ic.Nop},
 		{Op: ic.Jmp, Target: -1},
-		{Op: ic.Ld, D: t0, A: t1},
-		{Op: ic.BrCmp, A: t0, B: t1, Cond: ic.CondEq, Target: 99},
+		{Op: ic.Mov, D: t0, A: t1},
+		{Op: ic.Jmp, Target: 99},
 		{Op: ic.Halt},
 		{Op: ic.BrCmp, A: t0, B: t1, Cond: ic.CondEq, Target: 7},
 		{Op: ic.Mov, D: t2, A: t0},
 	})
 	xp := Predecode(p)
-	if got := xp.Fused.Ops[xp.Fused.XOf[2]]; got.Code != XFLdBrCmpEqR || xp.Fused.Ops[got.Target].Imm != 99 {
-		t.Fatalf("ld+brcmp.eq fused to %s with target imm %d, want %s to a trap for pc 99",
-			got.Code, xp.Fused.Ops[got.Target].Imm, XFLdBrCmpEqR)
+	if got := xp.Fused.Ops[xp.Fused.XOf[2]]; got.Code != XFMovJmp || xp.Fused.Ops[got.Target].Imm != 99 {
+		t.Fatalf("mov+jmp fused to %s with target imm %d, want %s to a trap for pc 99",
+			got.Code, xp.Fused.Ops[got.Target].Imm, XFMovJmp)
 	}
 	if got := xp.Fused.Ops[xp.Fused.XOf[5]].Code; got != XFCMovR {
 		t.Fatalf("brcmp+mov fused to %s, want %s", got, XFCMovR)

@@ -108,15 +108,6 @@ func (rt *Runtime) Poll() fault.Kind {
 	return fault.None
 }
 
-// PollEvery is the poll period: fault.CheckInterval when the run has
-// something to poll for, effectively never otherwise.
-func (rt *Runtime) PollEvery() int64 {
-	if rt.Deadline.IsZero() && rt.Interrupt == nil {
-		return 1 << 62
-	}
-	return fault.CheckInterval
-}
-
 // memView is the memory as an mterm.Mem. A pointer converts to an
 // interface without allocating; the slice value would be boxed per call.
 func (rt *Runtime) memView() mterm.Mem { return (*mterm.SliceMem)(&rt.Mem) }
@@ -165,22 +156,28 @@ func (rt *Runtime) BallPut(w word.W) error {
 
 // Mix is what a predecoded run loop counts: per-opcode dispatches (sized
 // 256 and indexed by the uint8 opcode, so the increment compiles without a
-// bounds check) and the superinstruction second constituents the dispatch
-// count gets wrong. Streams without superinstructions leave the fixups 0.
+// bounds check) and the superinstruction constituents the dispatch count
+// gets wrong. Streams without superinstructions leave the fixups 0.
 type Mix struct {
 	Disp [256]int64
 	// Fused second constituents skipped because the first store faulted
 	// catchably: the dispatch count over-counts the second half by these.
 	SkipStAdd, SkipStSt, SkipStMovI int64
 	CMovMoves                       int64 // XFCMovR second constituents actually executed
+	// Dereference loop bodies, which a dispatch does not count: loads (each
+	// with its self-reference test) and chases (the advance, the back edge
+	// and the next tag test).
+	DerefLoads, DerefChases int64
 }
 
 // MixStats expands dispatch counts into the exact per-class dynamic mix in
-// original-ICI units. Every dispatch counted both constituents of a
-// superinstruction; the skip counters undo the (rare) second constituents
-// that did not execute, and XFCMovR's conditional second constituent is
-// replaced by the count of moves that actually ran. The marked opcodes
-// make the dispatch array itself the choice-point and trail-undo counters.
+// original-ICI units. Every dispatch counted both constituents of a pair;
+// the skip counters undo the (rare) second constituents that did not
+// execute, and XFCMovR's conditional second constituent is replaced by the
+// count of moves that actually ran. A dereference dispatch counted its head
+// alone, and the load and chase counters add the loop body. The marked
+// opcodes make the dispatch array itself the choice-point and trail-undo
+// counters.
 func (rt *Runtime) MixStats(steps int64, x *Mix, wall time.Duration) obs.Stats {
 	d := &x.Disp
 	// One spare slot catches the Class2Of "no second constituent" sentinel.
@@ -195,6 +192,9 @@ func (rt *Runtime) MixStats(steps int64, x *Mix, wall time.Duration) obs.Stats {
 	cls[ic.ClassMemory] -= x.SkipStSt
 	cls[ic.ClassMove] -= x.SkipStMovI
 	cls[ic.ClassMove] -= d[XFCMovR] - x.CMovMoves
+	cls[ic.ClassMemory] += x.DerefLoads
+	cls[ic.ClassMove] += x.DerefChases
+	cls[ic.ClassControl] += x.DerefLoads + 2*x.DerefChases
 	head := [int(ic.NumClasses)]int64(cls[:int(ic.NumClasses)])
 	return rt.ClassStats(steps, &head, d[XMovCP], d[XLdUndo], wall)
 }

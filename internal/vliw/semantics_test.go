@@ -33,6 +33,7 @@ const (
 const (
 	exitTaken = -1000 // the taken exit: MovI rMark, 2; Halt 0 (at pc 0)
 	exitNext  = -1001 // the pc after the body: MovI rMark, 1; Halt 0
+	inBody    = -2000 // inBody+i: the body's i-th pc
 )
 
 var (
@@ -44,11 +45,12 @@ var (
 	rMark = ic.FirstTemp + 7 // which exit the program left by
 )
 
-// semCase is one program: setup ICIs, then a one- or two-ICI body.
+// semCase is one program: setup ICIs, then a one- or two-ICI body, or a
+// dereference loop.
 type semCase struct {
 	init []ic.Inst
 	body []ic.Inst
-	// fused is the superinstruction a two-ICI body must fuse into.
+	// fused is the superinstruction the body must fuse into.
 	fused exec.XCode
 	// dismiss names the VLIW dismissal the case exercises ("" for none);
 	// vbody is then the body as the VLIW must execute it, the dismissed
@@ -88,6 +90,10 @@ func (c *semCase) program(body []ic.Inst) (*ic.Program, int) {
 			in.Target = 0
 		case exitNext:
 			in.Target = next
+		default:
+			if in.Target >= inBody && in.Target < inBody+len(body) {
+				in.Target += start - inBody
+			}
 		}
 		code = append(code, in)
 	}
@@ -420,11 +426,10 @@ func fusedCases() []semCase {
 					loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrTag, A: r0, Tag: t, Target: exitTaken}),
 					loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrTag, A: r0, Tag: t, Cond: ic.CondNe, Target: exitTaken}))
 			}
-			c := loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondEq, Target: exitTaken})
-			c.fused = exec.XFLdBrCmpEqR
-			cs = append(cs, c)
-			cs = append(cs, loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondNe, Target: exitTaken}))
-			c = loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.Ld, D: r2, A: rPoke, Imm: 1})
+			cs = append(cs,
+				loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondEq, Target: exitTaken}),
+				loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.BrCmp, A: r0, B: r1, Cond: ic.CondNe, Target: exitTaken}))
+			c := loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.Ld, D: r2, A: rPoke, Imm: 1})
 			c.fused = exec.XFLdLd
 			cs = append(cs, c)
 			c = loadCase(base, imm, ic.MarkNone, ic.Inst{Op: ic.Mov, D: r2, A: r0})
@@ -477,13 +482,86 @@ func fusedCases() []semCase {
 	return cs
 }
 
+// derefBody is expand's dereference loop (bam.Deref) on r0 with temp r2,
+// behind Mov r0, r1 when mov is set.
+func derefBody(mov bool) []ic.Inst {
+	var body []ic.Inst
+	if mov {
+		body = append(body, ic.Inst{Op: ic.Mov, D: r0, A: r1})
+	}
+	top := inBody + len(body)
+	return append(body,
+		ic.Inst{Op: ic.BrTag, A: r0, Cond: ic.CondNe, Tag: word.Ref, Target: exitNext},
+		ic.Inst{Op: ic.Ld, D: r2, A: r0, Reg: ic.RegionHeap},
+		ic.Inst{Op: ic.BrCmp, A: r2, Cond: ic.CondEq, B: r0, Target: exitNext},
+		ic.Inst{Op: ic.Mov, D: r0, A: r2},
+		ic.Inst{Op: ic.Jmp, Target: top})
+}
+
+// derefCase dereferences start, with the heap cells at HeapBase+i set to
+// cells[i] (0 keeps heapInit's contents).
+func derefCase(mov bool, start word.W, cells ...word.W) semCase {
+	c := semCase{init: heapInit(), body: derefBody(mov), fused: exec.XFDeref}
+	for i, w := range cells {
+		if w != 0 {
+			c.init = append(c.init, poke(ic.HeapBase+uint64(i), w)...)
+		}
+	}
+	if mov {
+		c.fused = exec.XFMovDeref
+		c.init = append(c.init, set(r0, word.MakeInt(-1)), set(r1, start))
+	} else {
+		c.init = append(c.init, set(r0, start))
+	}
+	return c
+}
+
+// outOfRange marks a dereference whose chase reaches an out-of-range load
+// as a dismissal: the VLIW loads 0, a Ref to address 0, which holds 0, a
+// self-reference, so it leaves the loop with 0 in r0 and r2.
+func outOfRange(c semCase) semCase {
+	c.dismiss = dismissLoadRange
+	c.vbody = []ic.Inst{set(r2, 0), set(r0, 0)}
+	return c
+}
+
+// derefCases exit the dereference loop, bare and behind its Mov, on a
+// non-Ref word at once and after chases, on a self-reference after 0, 1
+// and 3 chases (and after one for a Ref that differs from the cell it
+// points at only in the cdr bit), and on an out-of-range load at once and
+// after a chase.
+func derefCases() []semCase {
+	h := func(i uint64) word.W { return word.MakeRef(ic.HeapBase + i) }
+	far := word.MakeRef(1 << 40)
+	var cs []semCase
+	for _, mov := range []bool{false, true} {
+		for _, a := range aWords {
+			if a.Tag() != word.Ref {
+				cs = append(cs, derefCase(mov, a))
+			}
+		}
+		cs = append(cs,
+			derefCase(mov, h(1)),                            // a Lst after one chase
+			derefCase(mov, h(6), 0, 0, 0, 0, 0, h(2), h(5)), // an Int after three
+			derefCase(mov, h(0)),
+			derefCase(mov, h(0).WithCdr()),
+			derefCase(mov, h(5), 0, 0, 0, 0, 0, h(0)),
+			derefCase(mov, h(7), 0, 0, 0, 0, 0, h(0), h(5), h(6)),
+			derefCase(mov, word.MakeRef(ic.MemWords-1)), // the last word, then address 0
+			outOfRange(derefCase(mov, far)),
+			outOfRange(derefCase(mov, h(5), 0, 0, 0, 0, 0, far)),
+		)
+	}
+	return cs
+}
+
 // TestOpcodeSemantics runs every case on fused, nofuse, legacy and Sim.
 // The three sequential loops must agree exactly (steps included); Sim must
 // agree with them except where the case names a dismissal, and there it
 // must agree with the dismissed body run on the reference interpreter.
 func TestOpcodeSemantics(t *testing.T) {
 	var cases []semCase
-	for _, gen := range []func() []semCase{aluCases, moveCases, memoryCases, branchCases, controlCases, sysCases, fusedCases} {
+	for _, gen := range []func() []semCase{aluCases, moveCases, memoryCases, branchCases, controlCases, sysCases, fusedCases, derefCases} {
 		cases = append(cases, gen()...)
 	}
 	st, _ := ic.Acquire()
@@ -553,4 +631,58 @@ func TestOpcodeSemantics(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases; dismissals %v", len(cases), dismissals)
+}
+
+// TestDerefStepLimits lands MaxSteps on every constituent of a dereference
+// op, bare and behind its Mov: on the head and on each ICI of every turn of
+// a chase. The fused and plain loops must stop where the legacy loop stops,
+// with the same error (fault pc and ICI included), registers and memory;
+// with budget to spare they must report its Steps and Stats.
+func TestDerefStepLimits(t *testing.T) {
+	st, _ := ic.Acquire()
+	defer st.Release()
+	h := func(i uint64) word.W { return word.MakeRef(ic.HeapBase + i) }
+	for _, mov := range []bool{false, true} {
+		for _, c := range []semCase{
+			derefCase(mov, word.MakeInt(7)),
+			derefCase(mov, h(7), 0, 0, 0, 0, 0, h(0), h(5), h(6)),
+			derefCase(mov, h(6), 0, 0, 0, 0, 0, h(2), h(5)),
+			derefCase(mov, h(5), 0, 0, 0, 0, 0, word.MakeRef(1<<40)),
+		} {
+			prog, _ := c.program(c.body)
+			run := func(o emu.Options) (outcome, string, *emu.Result) {
+				o.State = st
+				res, err := emu.Run(prog, o)
+				msg := ""
+				if err != nil {
+					msg = err.Error()
+				}
+				var status int
+				if res != nil {
+					status = res.Status
+					res.Stats.Wall = 0
+				}
+				return observe(st, int(prog.MaxReg())+1, status, "", err), msg, res
+			}
+			_, _, full := run(emu.Options{Legacy: true})
+			total := int64(len(prog.Code)) * 4 // past the end of a faulting run
+			if full != nil {
+				total = full.Steps + 1
+			}
+			for max := int64(1); max <= total; max++ {
+				want, wantErr, wantRes := run(emu.Options{Legacy: true, MaxSteps: max})
+				for _, mode := range []emu.Options{{MaxSteps: max}, {MaxSteps: max, NoFuse: true}} {
+					got, gotErr, gotRes := run(mode)
+					if gotErr != wantErr || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s\nMaxSteps %d, nofuse %v: got %q %+v\nwant %q %+v",
+							&c, max, mode.NoFuse, gotErr, got, wantErr, want)
+					}
+					if (gotRes == nil) != (wantRes == nil) ||
+						gotRes != nil && (gotRes.Steps != wantRes.Steps || gotRes.Stats != wantRes.Stats) {
+						t.Fatalf("%s\nMaxSteps %d, nofuse %v: result %+v, want %+v", &c, max, mode.NoFuse, gotRes, wantRes)
+					}
+				}
+			}
+		}
+	}
 }
